@@ -37,7 +37,9 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
+    DEFAULT_EPSILON,
     EquivalenceMap,
+    _canonical_merge,
     align,
     align_ensemble,
     cluster,
@@ -47,8 +49,6 @@ from .estimators import (
 )
 from .metrics import EvalRecord, aucroc, concordance, summarize
 
-DEFAULT_DELTAS = (math.log(1.5), math.log(2.0), math.log(3.0))
-DEFAULT_EPSILON = 0.01
 WORKERS_ENV = "AMBIUQ_WORKERS"
 
 
@@ -216,11 +216,23 @@ def _metric_rows(records, estimators, deltas):
 
 def _aligned_counts(record, joint_classes, eq) -> np.ndarray:
     """Map a ground-truth record's counts onto the aligned joint support."""
-    merged = {}
-    for answer, count in zip(record.answers, record.counts):
-        key = eq.canonical(answer)
-        merged[key] = merged.get(key, 0) + count
-    return np.array([float(merged.get(c, 0)) for c in joint_classes])
+    merged = _canonical_merge(record.answers, record.counts, eq)
+    return np.array([merged.get(c, 0.0) for c in joint_classes])
+
+
+def _write_histogram(path, values, bins: int) -> None:
+    rows = summarize(values, bins=bins).histogram_rows()
+    formats.write_csv(
+        path,
+        ["bin_left", "bin_right", "count"],
+        ({"bin_left": f"{left:.9g}", "bin_right": f"{right:.9g}", "count": count}
+         for left, right, count in rows),
+    )
+
+
+def _write_ablation(path, rows) -> None:
+    rows = ({**row, "concordance": f"{row['concordance']:.6f}"} for row in rows)
+    formats.write_csv(path, ["gamma", "estimator", "concordance"], rows)
 
 
 def cmd_eval(args) -> int:
@@ -273,7 +285,6 @@ def cmd_eval(args) -> int:
     single_gamma = gammas[0] if len(gammas) == 1 else None
     eval_records = []
     counts_list, model_list = [], []
-    scores_by_name: dict = {}
     for qid in matched:
         gt = gt_records[qid]
         pred = predictions[qid]
@@ -302,8 +313,7 @@ def cmd_eval(args) -> int:
         eval_records.append(EvalRecord(qid, true_eu, scores))
         counts_list.append(counts)
         model_list.append(p_model_aligned.probs)
-        for name, value in scores.items():
-            scores_by_name.setdefault(name, {})[qid] = value
+    estimators = sorted({name for r in eval_records for name in r.scores})
 
     formats.write_jsonl(
         args.records_out, (formats.eval_record_to_dict(r) for r in eval_records)
@@ -313,7 +323,7 @@ def cmd_eval(args) -> int:
     if len(gammas) > 1:
         # each estimator is ablated over the records that carry it
         rows = []
-        for name in sorted(scores_by_name):
+        for name in estimators:
             keep = [i for i, r in enumerate(eval_records) if name in r.scores]
             try:
                 rows.extend(
@@ -328,17 +338,9 @@ def cmd_eval(args) -> int:
                 _warn(f"gamma ablation[{name}]: {exc}")
         labels = [*gammas, "point"]
         rows.sort(key=lambda r: (labels.index(r["gamma"]), r["estimator"]))
-        formats.write_csv(
-            args.ablation_out,
-            ["gamma", "estimator", "concordance"],
-            (
-                {**row, "concordance": f"{row['concordance']:.6f}"}
-                for row in rows
-            ),
-        )
+        _write_ablation(args.ablation_out, rows)
         print(f"wrote gamma ablation to {args.ablation_out}")
 
-    estimators = sorted(scores_by_name)
     fieldnames, rows, n_values = _metric_rows(eval_records, estimators, deltas)
     if n_values == 0:
         raise DegenerateInputError(
@@ -351,6 +353,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.bound_line_points < 0:
+        raise ValidationError("--bound-line-points must be >= 0")
     query = bounds_mod.BoundQuery(k=args.k, delta=args.delta)
     try:
         a_delta = bounds_mod.alpha_delta(query)
@@ -404,6 +408,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.hist_bins < 1:
+        raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -435,27 +441,16 @@ def cmd_simulate(args) -> int:
             ),
         )
     if args.hist_csv:
-        summary = summarize(row_entropy(result.p_star), bins=args.hist_bins)
-        formats.write_csv(
-            args.hist_csv,
-            ["bin_left", "bin_right", "count"],
-            (
-                {"bin_left": f"{left:.9g}", "bin_right": f"{right:.9g}", "count": count}
-                for left, right, count in summary.histogram_rows()
-            ),
-        )
+        _write_histogram(args.hist_csv, row_entropy(result.p_star), args.hist_bins)
     if args.ablation_csv:
         gammas = _parse_float_list(args.gammas, "--gammas")
-        rows = result.gamma_ablation(gammas)
-        formats.write_csv(
-            args.ablation_csv,
-            ["gamma", "estimator", "concordance"],
-            ({**row, "concordance": f"{row['concordance']:.6f}"} for row in rows),
-        )
+        _write_ablation(args.ablation_csv, result.gamma_ablation(gammas))
     return 0
 
 
 def cmd_metrics(args) -> int:
+    if args.hist_bins < 1:
+        raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
     deltas = _parse_float_list(args.deltas, "--deltas")
     records = []
     for lineno, obj in _read_jsonl_with_warnings(args.records):
@@ -471,15 +466,7 @@ def cmd_metrics(args) -> int:
         raise DegenerateInputError("no metric is defined on these records")
     formats.write_csv(args.metrics_out, fieldnames, rows)
     if args.hist_out:
-        summary = summarize([r.true_eu for r in records], bins=args.hist_bins)
-        formats.write_csv(
-            args.hist_out,
-            ["bin_left", "bin_right", "count"],
-            (
-                {"bin_left": f"{left:.9g}", "bin_right": f"{right:.9g}", "count": count}
-                for left, right, count in summary.histogram_rows()
-            ),
-        )
+        _write_histogram(args.hist_out, [r.true_eu for r in records], args.hist_bins)
     print(f"wrote metrics for {len(estimators)} estimators to {args.metrics_out}")
     return 0
 
@@ -508,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", required=True, help="metrics CSV output")
     p.add_argument("--ablation-out", default="gamma_ablation.csv")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--deltas", default=",".join(str(d) for d in DEFAULT_DELTAS))
+    p.add_argument("--deltas", default=",".join(str(d) for d in simlab.DEFAULT_DELTAS))
     p.add_argument(
         "--dirichlet-gamma",
         default=None,
@@ -544,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", required=True)
     p.add_argument("--hist-out", default=None, help="true-EU histogram CSV")
     p.add_argument("--hist-bins", type=int, default=30)
-    p.add_argument("--deltas", default=",".join(str(d) for d in DEFAULT_DELTAS))
+    p.add_argument("--deltas", default=",".join(str(d) for d in simlab.DEFAULT_DELTAS))
     p.set_defaults(func=cmd_metrics)
 
     return parser

@@ -4,8 +4,10 @@ Starting from a uniform prior (all concentrations 1), observed co-occurrence
 counts n_i update the posterior to alpha_i = 1 + gamma*n_i, where the scaling
 factor gamma >= 1 controls how literally the counts are taken. Expected
 aleatoric uncertainty E[H(p*)] and expected epistemic uncertainty
-E[KL(p*||p)] under this posterior have closed forms in the digamma function;
-Monte Carlo estimators of both are provided as independent cross-checks.
+E[KL(p*||p)] under this posterior have closed forms in the digamma function.
+They take a count k-vector, giving a float, or an (n, k) batch with an (n, k)
+prediction matrix, giving n values row-wise. Monte Carlo estimators of both,
+for one posterior, are provided as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -67,44 +69,54 @@ def digamma(x):
 
 @dataclass(frozen=True)
 class DirichletPosterior:
-    """Concentration vector alpha_i = 1 + gamma*n_i and its sum alpha_0."""
+    """Concentration vector alpha_i = 1 + gamma*n_i and its sum alpha_0; for
+    an (n, k) batch, alpha is (n, k) and alpha_0 holds the n row sums."""
 
     alpha: np.ndarray
     gamma: float
-    alpha_0: float
-
-    def __len__(self) -> int:
-        return self.alpha.shape[0]
+    alpha_0: float | np.ndarray
 
 
 def posterior(counts, gamma: float = 1.0) -> DirichletPosterior:
-    """Posterior from a uniform prior after observing the given counts.
+    """Posterior from a uniform prior after observing the given counts: a
+    k-vector, or an (n, k) matrix with one count vector per row.
 
     Counts may be fractional (e.g. soft evidence); gamma must be >= 1.
     """
     if gamma < 1.0:
         raise DomainError(f"gamma={gamma!r} must be >= 1")
     arr = np.asarray(counts, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValidationError("counts must be a non-empty 1-D vector")
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValidationError("counts must be a non-empty k-vector or (n, k) matrix")
     if not np.isfinite(arr).all() or (arr < 0).any():
         raise ValidationError("counts must be finite and non-negative")
     alpha = 1.0 + gamma * arr
     alpha.setflags(write=False)
-    return DirichletPosterior(alpha=alpha, gamma=float(gamma), alpha_0=float(alpha.sum()))
+    alpha_0 = float(alpha.sum()) if arr.ndim == 1 else alpha.sum(axis=-1)
+    return DirichletPosterior(alpha=alpha, gamma=float(gamma), alpha_0=alpha_0)
 
 
-def expected_aleatoric(d: DirichletPosterior) -> float:
+def _weighted_sum(d: DirichletPosterior, terms) -> float | np.ndarray:
+    """sum (a_i/a_0) * terms_i over the last axis: a float for one
+    posterior, an array of n values for a batch."""
+    out = ((d.alpha / np.asarray(d.alpha_0)[..., None]) * terms).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def _psi_gap(d: DirichletPosterior) -> np.ndarray:
+    return digamma(d.alpha + 1.0) - digamma(np.asarray(d.alpha_0)[..., None] + 1.0)
+
+
+def expected_aleatoric(d: DirichletPosterior) -> float | np.ndarray:
     """E[H(p*)] under the posterior: -sum (a_i/a_0)(psi(a_i+1) - psi(a_0+1))."""
-    weights = d.alpha / d.alpha_0
-    return float(-(weights * (digamma(d.alpha + 1.0) - digamma(d.alpha_0 + 1.0))).sum())
+    return -_weighted_sum(d, _psi_gap(d))
 
 
-def _probs_vector(p, n: int) -> np.ndarray:
+def _probs_array(p, alpha: np.ndarray) -> np.ndarray:
     probs = p.probs if isinstance(p, Categorical) else np.asarray(p, dtype=float)
-    if probs.shape != (n,):
+    if probs.shape != alpha.shape:
         raise ValidationError(
-            f"prediction has {probs.shape[0]} classes, posterior has {n}"
+            f"prediction has shape {probs.shape}, posterior has {alpha.shape}"
         )
     if (probs <= 0).any():
         raise SupportError(
@@ -114,22 +126,19 @@ def _probs_vector(p, n: int) -> np.ndarray:
     return probs
 
 
-def expected_epistemic(d: DirichletPosterior, p) -> float:
-    """E[KL(p*||p)] under the posterior for a strictly positive prediction p.
+def expected_epistemic(d: DirichletPosterior, p) -> float | np.ndarray:
+    """E[KL(p*||p)] under the posterior for a strictly positive prediction p
+    of the posterior's shape.
 
     Equals sum (a_i/a_0)[psi(a_i+1) - psi(a_0+1) - ln p_i], which is the
     expected cross-entropy minus the expected aleatoric part.
     """
-    probs = _probs_vector(p, len(d))
-    weights = d.alpha / d.alpha_0
-    inner = digamma(d.alpha + 1.0) - digamma(d.alpha_0 + 1.0) - np.log(probs)
-    return float((weights * inner).sum())
+    return _weighted_sum(d, _psi_gap(d) - np.log(_probs_array(p, d.alpha)))
 
 
-def expected_cross_entropy(d: DirichletPosterior, p) -> float:
+def expected_cross_entropy(d: DirichletPosterior, p) -> float | np.ndarray:
     """E[CE(p*, p)] = -sum (a_i/a_0) ln p_i under the posterior."""
-    probs = _probs_vector(p, len(d))
-    return float(-((d.alpha / d.alpha_0) * np.log(probs)).sum())
+    return -_weighted_sum(d, np.log(_probs_array(p, d.alpha)))
 
 
 def _mc_draws(d: DirichletPosterior, draws: int, seed) -> np.ndarray:
@@ -155,6 +164,6 @@ def mc_expected_epistemic(
     d: DirichletPosterior, p, draws: int = 100_000, seed=0
 ) -> tuple[float, float]:
     """Monte Carlo (mean, standard error) of KL(p*||p) over posterior draws."""
-    probs = _probs_vector(p, len(d))
+    probs = _probs_array(p, d.alpha)
     kls = row_kl(_mc_draws(d, draws, seed), probs)
     return float(kls.mean()), float(kls.std(ddof=1) / np.sqrt(draws))

@@ -132,12 +132,12 @@ def cluster(sample_set: AnswerSampleSet, eq: Optional[EquivalenceMap] = None) ->
     return Categorical(classes, np.array([sums[c] / total for c in classes]))
 
 
-def _canonical_merge(p: Categorical, eq: EquivalenceMap):
-    """Canonicalize class names, summing probabilities that collide."""
+def _canonical_merge(names, values, eq: EquivalenceMap) -> dict:
+    """Canonicalize names, summing the values of names that collide."""
     out: dict = {}
-    for name, prob in zip(p.classes, p.probs):
+    for name, value in zip(names, values):
         key = eq.canonical(name)
-        out[key] = out.get(key, 0.0) + float(prob)
+        out[key] = out.get(key, 0.0) + float(value)
     return out
 
 
@@ -156,8 +156,8 @@ def align(
     if not (0.0 < epsilon < 1.0):
         raise ValidationError(f"epsilon must be in (0, 1), got {epsilon!r}")
     eq = eq or EquivalenceMap()
-    star = _canonical_merge(p_star, eq)
-    model = _canonical_merge(p_model, eq)
+    star = _canonical_merge(p_star.classes, p_star.probs, eq)
+    model = _canonical_merge(p_model.classes, p_model.probs, eq)
     joint = list(dict.fromkeys([*star, *model]))
     star_probs = np.array([star.get(c, 0.0) for c in joint])
     imputed = [c for c in joint if c not in model]
@@ -178,7 +178,7 @@ def align_ensemble(
     if not members:
         raise ValidationError("ensemble must have at least one member")
     eq = eq or EquivalenceMap()
-    merged = [_canonical_merge(m, eq) for m in members]
+    merged = [_canonical_merge(m.classes, m.probs, eq) for m in members]
     joint = list(dict.fromkeys([c for m in merged for c in m]))
     aligned = []
     for m in merged:

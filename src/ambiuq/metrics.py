@@ -5,10 +5,16 @@ EU are excluded, pairs with tied scores get half credit, so a perfect
 estimator scores exactly 1.0 and a constant one exactly 0.5. AUC-ROC is
 computed from midrank statistics (Mann-Whitney), which handles ties exactly
 without curve interpolation.
+
+The array entry points ``concordance_from_scores(truth, score)`` and
+``aucroc_from_scores(truth, score, delta)`` do the counting on NumPy arrays;
+``concordance`` and ``aucroc`` take :class:`EvalRecord` lists and an
+estimator name and call them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,102 +31,84 @@ class EvalRecord:
     scores: dict
 
     def __post_init__(self):
-        if self.true_eu < 0:
+        if not (math.isfinite(self.true_eu) and self.true_eu >= 0):
             raise ValidationError(
-                f"{self.question_id}: true_eu must be >= 0, got {self.true_eu!r}"
+                f"{self.question_id}: true_eu must be finite and >= 0, got {self.true_eu!r}"
             )
+        bad = sorted(name for name, v in self.scores.items() if not math.isfinite(v))
+        if bad:
+            raise ValidationError(f"{self.question_id}: non-finite scores for {bad}")
 
 
 def _extract(records, estimator: str):
-    pairs = [
-        (r.true_eu, r.scores[estimator]) for r in records if estimator in r.scores
-    ]
+    pairs = [(r.true_eu, r.scores[estimator]) for r in records if estimator in r.scores]
     if not pairs:
         raise DegenerateInputError(f"no records carry estimator {estimator!r}")
     arr = np.asarray(pairs, dtype=float)
     return arr[:, 0], arr[:, 1]
 
 
-class _Fenwick:
-    """Prefix-sum tree over score ranks, for O(n log n) pair counting."""
-
-    def __init__(self, size: int):
-        self.tree = [0] * (size + 1)
-
-    def add(self, i: int) -> None:
-        i += 1
-        while i < len(self.tree):
-            self.tree[i] += 1
-            i += i & (-i)
-
-    def count_le(self, i: int) -> int:
-        i += 1
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
-
-
-def _pair_counts(truth: np.ndarray, score: np.ndarray):
-    """(comparable, discordant, score-tied) pair counts, truth ties excluded."""
-    n = truth.shape[0]
-    total = n * (n - 1) // 2
-
-    def tie_pairs(keys) -> int:
-        _, counts = np.unique(keys, return_counts=True, axis=0)
-        return int((counts * (counts - 1) // 2).sum())
-
-    ties_truth = tie_pairs(truth)
-    ties_score = tie_pairs(score)
-    ties_both = tie_pairs(np.stack([truth, score], axis=1))
-    comparable = total - ties_truth
-
-    # sort by (truth, score) ascending; discordant pairs are then exactly
-    # the strict inversions of the score sequence
-    order = np.lexsort((score, truth))
-    rank_of = np.unique(score, return_inverse=True)[1][order]
-    tree = _Fenwick(int(rank_of.max()) + 1 if n else 1)
-    discordant = 0
-    for j, r in enumerate(rank_of):
-        discordant += j - tree.count_le(int(r))
-        tree.add(int(r))
-    score_tied = ties_score - ties_both
-    return comparable, discordant, score_tied
-
-
-def concordance(records, estimator: str) -> float:
-    """P(estimator ranks the higher-true-EU record higher), with 0.5 credit
-    for score ties; 0.5 is chance, 1.0 is perfect."""
-    truth, score = _extract(records, estimator)
-    comparable, discordant, score_tied = _pair_counts(truth, score)
-    if comparable == 0:
-        raise DegenerateInputError(
-            f"concordance undefined: no pairs with distinct true_eu for {estimator!r}"
+def _as_arrays(truth, score):
+    truth, score = np.asarray(truth, dtype=float), np.asarray(score, dtype=float)
+    if truth.ndim != 1 or truth.shape != score.shape:
+        raise ValidationError(
+            f"truth {truth.shape} and score {score.shape} must be 1-D of equal length"
         )
+    if not (np.isfinite(truth).all() and np.isfinite(score).all()):
+        raise ValidationError("truth and score must be finite")
+    return truth, score
+
+
+def _tie_pairs(values: np.ndarray) -> int:
+    counts = np.unique(values, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _inversions(seq: np.ndarray) -> int:
+    """Pairs i < j with seq[i] > seq[j], for non-negative integer seq.
+
+    Stable sorts by ever longer high-bit prefixes of the values form a radix
+    sort. The pass for bit b moves each element past exactly the elements it
+    forms such a pair with whose values first differ at bit b, so half the
+    total displacement over all passes is the pair count.
+    """
+    n = seq.shape[0]
+    pos = np.arange(n)
+    moved = 0
+    for b in reversed(range(int(seq.max()).bit_length())):
+        order = np.argsort(seq >> b, kind="stable")
+        moved += int(np.abs(pos[order] - np.arange(n)).sum())
+        pos[order] = np.arange(n)
+    return moved // 2
+
+
+def concordance_from_scores(truth, score) -> float:
+    """P(score ranks the higher-truth item higher), with 0.5 credit for score
+    ties and truth ties excluded; 0.5 is chance, 1.0 is perfect."""
+    truth, score = _as_arrays(truth, score)
+    n = truth.shape[0]
+    t_rank = np.unique(truth, return_inverse=True)[1]
+    s_rank = np.unique(score, return_inverse=True)[1]
+    comparable = n * (n - 1) // 2 - _tie_pairs(t_rank)
+    if comparable == 0:
+        raise DegenerateInputError("concordance undefined: no pairs with distinct true_eu")
+    # in (truth, score) order, discordant pairs are exactly the strict
+    # inversions of the score ranks
+    discordant = _inversions(s_rank[np.lexsort((s_rank, t_rank))])
+    score_tied = _tie_pairs(s_rank) - _tie_pairs(t_rank * n + s_rank)
     concordant = comparable - discordant - score_tied
     return (concordant + 0.5 * score_tied) / comparable
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty_like(values, dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def concordance(records, estimator: str) -> float:
+    """:func:`concordance_from_scores` over the records carrying the estimator."""
+    return concordance_from_scores(*_extract(records, estimator))
 
 
-def aucroc(records, estimator: str, delta: float) -> float:
-    """Rank-based AUC separating uncertain (true_eu >= delta) from certain
-    records by the estimator's score; score ties credit 0.5."""
-    truth, score = _extract(records, estimator)
+def aucroc_from_scores(truth, score, delta: float) -> float:
+    """Rank-based AUC separating uncertain (truth >= delta) from certain
+    items by score; score ties credit 0.5."""
+    truth, score = _as_arrays(truth, score)
     positive = truth >= delta
     n_pos = int(positive.sum())
     n_neg = int((~positive).sum())
@@ -128,9 +116,15 @@ def aucroc(records, estimator: str, delta: float) -> float:
         raise DegenerateInputError(
             f"aucroc undefined at delta={delta}: binarization left a single class"
         )
-    ranks = _midranks(score)
-    rank_sum = float(ranks[positive].sum())
+    _, inverse, counts = np.unique(score, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0  # 1-based, ties averaged
+    rank_sum = float(midranks[inverse][positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def aucroc(records, estimator: str, delta: float) -> float:
+    """:func:`aucroc_from_scores` over the records carrying the estimator."""
+    return aucroc_from_scores(*_extract(records, estimator), delta)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .bounds import BoundQuery, alpha_delta, gamma_delta
 from .dirichlet import expected_epistemic, posterior
 from .dist import Categorical, row_cross_entropy, row_entropy, row_kl
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
-from .metrics import EvalRecord, concordance
+from .metrics import EvalRecord, concordance, concordance_from_scores
 
 ZERO_AU = "zero-AU"
 FREE_AU = "free-AU"
@@ -298,34 +298,41 @@ def gamma_ablation(
     """Concordance of each estimator against the Dirichlet expected EU, per
     scaling factor gamma; the "point" row uses KL(normalize(counts)||p).
 
+    Ragged supports are grouped by size, one batched call per group: zero
+    padding would still give a padded class alpha = 1 and change E[KL].
+
     Returns rows {"gamma", "estimator", "concordance"} in grid order.
     """
     counts = [np.asarray(c, dtype=float) for c in counts]
     p_model = [np.asarray(p, dtype=float) for p in p_model]
     if len(counts) != len(p_model):
         raise ValidationError("counts and p_model must have equal length")
-    n = len(counts)
+    groups: dict = {}
+    for i, (c, p) in enumerate(zip(counts, p_model)):
+        if c.ndim != 1:
+            raise ValidationError("each counts entry must be a 1-D vector")
+        groups.setdefault((c.shape, p.shape), []).append(i)
+    batches = [
+        (idx, np.stack([counts[i] for i in idx]), np.stack([p_model[i] for i in idx]))
+        for idx in groups.values()
+    ]
 
-    def rows_for(truth, label):
-        recs = [
-            EvalRecord(f"q{i:06d}", max(float(truth[i]), 0.0),
-                       {name: float(vals[i]) for name, vals in scores.items()})
-            for i in range(n)
-        ]
-        return [
-            {"gamma": label, "estimator": name, "concordance": concordance(recs, name)}
-            for name in scores
-        ]
+    def truth_for(label) -> np.ndarray:
+        truth = np.empty(len(counts))
+        for idx, c, p in batches:
+            if label == "point":
+                truth[idx] = row_kl(c / c.sum(axis=-1, keepdims=True), p)
+            else:
+                truth[idx] = expected_epistemic(posterior(c, label), p)
+        # KL >= 0 mathematically; clamp away float rounding at the zero boundary
+        return np.maximum(truth, 0.0)
 
     out = []
-    for gamma in gammas:
-        truth = [
-            expected_epistemic(posterior(c, gamma), p) for c, p in zip(counts, p_model)
-        ]
-        out.extend(rows_for(truth, gamma))
-    if include_point:
-        point = [
-            float(row_kl(c / c.sum(), p)) for c, p in zip(counts, p_model)
-        ]
-        out.extend(rows_for(point, "point"))
+    for label in [*gammas, "point"] if include_point else gammas:
+        truth = truth_for(label)
+        out.extend(
+            {"gamma": label, "estimator": name,
+             "concordance": concordance_from_scores(truth, vals)}
+            for name, vals in scores.items()
+        )
     return out

@@ -488,6 +488,15 @@ class TestBounds:
         )
         assert code == 3
 
+    def test_negative_bound_line_points_rejected(self, capsys):
+        code = main(["bounds", "--k", "3", "--delta", "0.5", "--bound-line-points", "-1"])
+        assert code == 2
+        assert "--bound-line-points must be >= 0" in capsys.readouterr().err
+
+    def test_zero_bound_line_points_gives_empty_line(self, capsys):
+        assert main(["bounds", "--k", "3", "--delta", "0.5", "--bound-line-points", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["bound_line"] == []
+
 
 class TestSimulate:
     def run_sim(self, tmp_path, config, *extra):
@@ -551,6 +560,14 @@ class TestSimulate:
         code, _, _ = self.run_sim(tmp_path, {"k": 1, "n": 10})
         assert code == 2
 
+    def test_zero_hist_bins_rejected(self, tmp_path, capsys):
+        code, _, _ = self.run_sim(
+            tmp_path, {"k": 3, "n": 50}, "--hist-csv", str(tmp_path / "h.csv"),
+            "--hist-bins", "0",
+        )
+        assert code == 2
+        assert "--hist-bins must be >= 1" in capsys.readouterr().err
+
     def test_high_au_failure_is_config_error(self, tmp_path):
         code, _, _ = self.run_sim(
             tmp_path, {"k": 30, "n": 500, "regime": "high-AU", "deltas": [0.25]}
@@ -592,3 +609,29 @@ class TestMetricsCommand:
              "--metrics-out", str(tmp_path / "m.csv")]
         )
         assert code == 1
+
+    def test_zero_hist_bins_rejected(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        write_jsonl(records, [{"question_id": f"q{i}", "true_eu": 0.1 * i,
+                               "scores": {"SE": 0.2 * i}} for i in range(5)])
+        code = main(
+            ["metrics", "--records", str(records), "--metrics-out", str(tmp_path / "m.csv"),
+             "--hist-out", str(tmp_path / "h.csv"), "--hist-bins", "0"]
+        )
+        assert code == 2
+        assert "--hist-bins must be >= 1" in capsys.readouterr().err
+
+    def test_non_finite_records_skipped(self, tmp_path, capsys):
+        # lines 2 and 3 carry NaN; the one valid record left defines no metric
+        records = tmp_path / "nan.jsonl"
+        records.write_text(
+            '{"question_id": "q0", "true_eu": 0.1, "scores": {"SE": 0.3}}\n'
+            '{"question_id": "q1", "true_eu": NaN, "scores": {"SE": 0.1}}\n'
+            '{"question_id": "q2", "true_eu": 0.3, "scores": {"SE": NaN}}\n'
+        )
+        metrics = tmp_path / "metrics.csv"
+        code = main(["metrics", "--records", str(records), "--metrics-out", str(metrics)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{records}:2: skipped" in err and f"{records}:3: skipped" in err
+        assert not metrics.exists() or "nan" not in metrics.read_text().casefold()

@@ -197,3 +197,56 @@ class TestMonteCarloHarness:
         from ambiuq.dist import row_entropy
 
         assert float(row_entropy(draws[:16_384]).mean()) == pytest.approx(short, abs=0)
+
+
+class TestBatched:
+    def ragged_groups(self, seed):
+        """(counts, predictions) batches of 2..8 classes, ragged across groups."""
+        rng = np.random.default_rng(seed)
+        for k in rng.permutation(np.arange(2, 9)):
+            n = int(rng.integers(1, 40))
+            counts = rng.integers(0, 60, size=(n, k)) * rng.choice([1.0, 0.5, 1.3])
+            yield counts, rng.dirichlet(np.ones(k), size=n)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 5.0, 10.0, 100.0, 3.7])
+    def test_rows_equal_scalar_calls_exactly(self, gamma):
+        for counts, probs in self.ragged_groups(int(gamma * 10)):
+            batch = posterior(counts, gamma)
+            rows = [posterior(c, gamma) for c in counts]
+            assert batch.alpha_0.tolist() == [d.alpha_0 for d in rows]
+            ea = expected_aleatoric(batch)
+            ee = expected_epistemic(batch, probs)
+            ce = expected_cross_entropy(batch, probs)
+            assert ea.shape == ee.shape == ce.shape == (counts.shape[0],)
+            assert ea.tolist() == [expected_aleatoric(d) for d in rows]
+            assert ee.tolist() == [expected_epistemic(d, p) for d, p in zip(rows, probs)]
+            assert ce.tolist() == [expected_cross_entropy(d, p) for d, p in zip(rows, probs)]
+
+    def test_vector_input_still_returns_float(self):
+        d = posterior([3, 4])
+        assert type(d.alpha_0) is float
+        for value in (expected_aleatoric(d), expected_epistemic(d, [0.4, 0.6]),
+                      expected_cross_entropy(d, [0.4, 0.6])):
+            assert type(value) is float
+
+    def test_batch_errors_keep_their_types(self):
+        counts = np.array([[1.0, 2.0], [3.0, 0.0]])
+        with pytest.raises(DomainError):
+            posterior(counts, gamma=0.5)
+        with pytest.raises(ValidationError):
+            posterior(np.array([[1.0, -2.0], [3.0, 0.0]]))
+        with pytest.raises(ValidationError):
+            posterior(np.array([[1.0, np.nan], [3.0, 0.0]]))
+        with pytest.raises(ValidationError):
+            posterior(np.zeros((0, 3)))
+        with pytest.raises(ValidationError):
+            posterior(np.ones((2, 2, 2)))
+        d = posterior(counts)
+        with pytest.raises(ValidationError):
+            expected_epistemic(d, [0.4, 0.6])
+        with pytest.raises(ValidationError):
+            expected_epistemic(d, np.full((3, 2), 0.5))
+        with pytest.raises(SupportError):
+            expected_epistemic(d, [[0.5, 0.5], [1.0, 0.0]])
+        with pytest.raises(SupportError):
+            expected_cross_entropy(d, [[0.5, 0.5], [1.0, 0.0]])

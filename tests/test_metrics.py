@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ambiuq.errors import DegenerateInputError, ValidationError
-from ambiuq.metrics import EvalRecord, aucroc, concordance, summarize
+from ambiuq.metrics import (
+    EvalRecord,
+    aucroc,
+    aucroc_from_scores,
+    concordance,
+    concordance_from_scores,
+    summarize,
+)
 
 LN2 = math.log(2.0)
 
@@ -52,6 +61,16 @@ class TestEvalRecord:
     def test_negative_eu_rejected(self):
         with pytest.raises(ValidationError):
             EvalRecord("q", -0.1, {})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eu_rejected(self, value):
+        with pytest.raises(ValidationError, match="true_eu"):
+            EvalRecord("q", value, {"SE": 0.5})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, value):
+        with pytest.raises(ValidationError, match="MI"):
+            EvalRecord("q", 0.1, {"SE": 0.5, "MI": value})
 
 
 class TestConcordance:
@@ -181,3 +200,54 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInputError):
             summarize([])
+
+
+# Small integer grids give heavy ties in truth, in score and in both at once.
+tied_pairs = st.integers(2, 40).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    )
+)
+oracle_settings = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestArrayEntryPoints:
+    @oracle_settings
+    @given(tied_pairs)
+    @example(([0, 1, 2, 3], [2, 2, 2, 2]))
+    def test_concordance_matches_brute_force(self, pair):
+        eus, scores = (np.array(v, dtype=float) for v in pair)
+        if (eus == eus[0]).all():
+            with pytest.raises(DegenerateInputError):
+                concordance_from_scores(eus, scores)
+            return
+        expected = brute_concordance(eus.tolist(), scores.tolist())
+        assert concordance_from_scores(eus, scores) == expected
+
+    @oracle_settings
+    @given(tied_pairs, st.sampled_from([0.5, 1.5, 2.5]))
+    @example(([0, 1, 2, 3], [2, 2, 2, 2]), 1.5)
+    def test_aucroc_matches_brute_force(self, pair, delta):
+        eus, scores = (np.array(v, dtype=float) for v in pair)
+        assume((eus >= delta).any() and (eus < delta).any())
+        expected = brute_aucroc(eus.tolist(), scores.tolist(), delta)
+        assert aucroc_from_scores(eus, scores, delta) == expected
+
+    def test_record_wrappers_agree(self):
+        rng = np.random.default_rng(6)
+        eus = rng.uniform(0, 1.5, size=300)
+        scores = np.round(eus + rng.normal(0, 0.3, size=300), 1)
+        records = records_from(eus, scores)
+        assert concordance(records, "SE") == concordance_from_scores(eus, scores)
+        assert aucroc(records, "SE", LN2) == aucroc_from_scores(eus, scores, LN2)
+
+    @pytest.mark.parametrize("fn", [concordance_from_scores,
+                                    lambda t, s: aucroc_from_scores(t, s, 0.5)])
+    def test_bad_arrays_rejected(self, fn):
+        with pytest.raises(ValidationError, match="finite"):
+            fn([0.1, math.nan, 0.9], [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="finite"):
+            fn([0.1, 0.5, 0.9], [1.0, math.inf, 3.0])
+        with pytest.raises(ValidationError, match="equal length"):
+            fn([0.1, 0.5, 0.9], [1.0, 2.0])

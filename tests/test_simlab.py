@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ambiuq.dirichlet import expected_epistemic, posterior
 from ambiuq.dist import row_entropy, row_kl
 from ambiuq.errors import ConfigurationError, DegenerateInputError, ValidationError
+from ambiuq.metrics import EvalRecord, concordance
 from ambiuq.simlab import (
     FREE_AU,
     HIGH_AU,
@@ -200,3 +202,35 @@ class TestGammaAblation:
         point = next(r["concordance"] for r in rows if r["gamma"] == "point")
         gaps = [abs(v - point) for v in values]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+    def test_ragged_supports_match_per_record_reference(self):
+        rng = np.random.default_rng(11)
+        counts = [rng.integers(0, 30, size=k) for k in rng.integers(2, 9, size=300)]
+        for c in counts:
+            c[0] += 1
+        p_model = [rng.dirichlet(np.ones(len(c))) for c in counts]
+        scores = {"A": rng.uniform(0, 2, size=300), "B": rng.integers(0, 4, size=300)}
+        gammas = (1.0, 5.0, 100.0)
+
+        def reference(truth):
+            records = [
+                EvalRecord(f"q{i}", max(t, 0.0), {n: float(v[i]) for n, v in scores.items()})
+                for i, t in enumerate(truth)
+            ]
+            return {name: concordance(records, name) for name in scores}
+
+        rows = gamma_ablation(counts, p_model, scores, gammas)
+        got = {(r["gamma"], r["estimator"]): r["concordance"] for r in rows}
+        for gamma in gammas:
+            truth = [expected_epistemic(posterior(c, gamma), p) for c, p in zip(counts, p_model)]
+            for name, value in reference(truth).items():
+                assert got[gamma, name] == value
+        point = [float(row_kl(c / c.sum(), p)) for c, p in zip(counts, p_model)]
+        for name, value in reference(point).items():
+            assert got["point", name] == value
+
+    def test_ragged_bad_entries_rejected(self):
+        with pytest.raises(ValidationError):
+            gamma_ablation([[1, 2], [3, 4, 5]], [[0.5, 0.5], [0.2, 0.3]], {"A": [0.1, 0.2]})
+        with pytest.raises(ValidationError):
+            gamma_ablation([[1, 2], 3], [[0.5, 0.5], [1.0]], {"A": [0.1, 0.2]})
