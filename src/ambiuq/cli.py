@@ -6,8 +6,7 @@ scoring against ground truth), bounds (threshold-bound report), simulate
 existing record file).
 
 Exit codes: 0 success, 1 fatal I/O, 2 validation/domain error, 3 degenerate
-input. All randomness flows from --seed; the worker-count environment
-variable AMBIUQ_WORKERS never affects results, only wall time.
+input. All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import shlex
 import subprocess
 import sys
@@ -49,8 +47,6 @@ from .estimators import (
 )
 from .metrics import EvalRecord, aucroc, concordance, summarize
 
-WORKERS_ENV = "AMBIUQ_WORKERS"
-
 
 def _warn(msg: str) -> None:
     print(f"ambiuq: {msg}", file=sys.stderr)
@@ -75,7 +71,8 @@ class CommandFilter:
 
     The command receives one JSON object per line on stdin
     ({"chunk_id", "text", "question", "answer"}) and must reply with one
-    line per object: yes/no, accept/reject, true/false, or 1/0.
+    line per object: yes/no, accept/reject, true/false, or 1/0. A command
+    that exits before replying is an I/O error naming its exit code.
     """
 
     _YES = {"yes", "accept", "true", "1"}
@@ -100,9 +97,17 @@ class CommandFilter:
             },
             sort_keys=True,
         )
-        self.proc.stdin.write(payload + "\n")
-        self.proc.stdin.flush()
-        reply = self.proc.stdout.readline().strip().casefold()
+        try:
+            self.proc.stdin.write(payload + "\n")
+            self.proc.stdin.flush()
+            reply = self.proc.stdout.readline()
+        except BrokenPipeError:
+            reply = ""
+        if not reply:  # EOF or a broken pipe: the command has exited
+            self.close()
+            code = self.proc.returncode
+            raise OSError(f"filter command {self.command!r} exited with code {code}")
+        reply = reply.strip().casefold()
         if reply in self._YES:
             return True
         if reply in self._NO:
@@ -112,9 +117,12 @@ class CommandFilter:
         )
 
     def close(self) -> None:
-        if self.proc.stdin:
-            self.proc.stdin.close()
-        self.proc.wait(timeout=30)
+        # communicate closes stdin, tolerating a broken pipe, and reaps the child
+        try:
+            self.proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.communicate()
 
 
 class FileFilter:
@@ -164,13 +172,7 @@ def cmd_build_gt(args) -> int:
 
     try:
         index = corpus_mod.build_index(corpus_mod.chunk_corpus(docs))
-        try:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
-        except ValueError:
-            raise ValidationError(f"{WORKERS_ENV} must be an integer")
-        records = corpus_mod.build_ground_truth(
-            index, specs, cap=args.cap, accept=accept, workers=workers
-        )
+        records = corpus_mod.build_ground_truth(index, specs, cap=args.cap, accept=accept)
     finally:
         if command_filter is not None:
             command_filter.close()
@@ -242,8 +244,8 @@ def cmd_eval(args) -> int:
     gammas = _parse_float_list(args.dirichlet_gamma, "--dirichlet-gamma") \
         if args.dirichlet_gamma else ()
     for g in gammas:
-        if g < 1.0:
-            raise ValidationError(f"--dirichlet-gamma values must be >= 1, got {g}")
+        if not 1.0 <= g < math.inf:
+            raise ValidationError(f"--dirichlet-gamma values must be in [1, inf), got {g}")
 
     mapping = None
     if args.equivalence:

@@ -11,7 +11,6 @@ zero counts are discarded but retained in a discard log.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -235,19 +234,13 @@ def build_ground_truth(
     specs: Sequence[QuestionSpec],
     cap: int = DEFAULT_CAP,
     accept: Optional[EntailmentFilter] = None,
-    workers: int = 1,
 ) -> list:
     """One GroundTruthRecord per spec, sorted by question_id.
 
-    Counting is read-only, so records are identical for any worker count.
+    Specs are counted in order, so ``accept`` sees kept chunks in corpus
+    order, one call at a time.
     """
-    if workers <= 1:
-        records = [_spec_record(index, s, cap, accept) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda s: _spec_record(index, s, cap, accept), specs)
-            )
+    records = [_spec_record(index, s, cap, accept) for s in specs]
     return sorted(records, key=lambda r: r.question_id)
 
 

@@ -81,10 +81,10 @@ def posterior(counts, gamma: float = 1.0) -> DirichletPosterior:
     """Posterior from a uniform prior after observing the given counts: a
     k-vector, or an (n, k) matrix with one count vector per row.
 
-    Counts may be fractional (e.g. soft evidence); gamma must be >= 1.
+    Counts may be fractional (e.g. soft evidence); gamma must be in [1, inf).
     """
-    if gamma < 1.0:
-        raise DomainError(f"gamma={gamma!r} must be >= 1")
+    if not 1.0 <= gamma < np.inf:
+        raise DomainError(f"gamma={gamma!r} must be in [1, inf)")
     arr = np.asarray(counts, dtype=float)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ValidationError("counts must be a non-empty k-vector or (n, k) matrix")

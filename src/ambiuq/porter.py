@@ -8,6 +8,8 @@ rule's condition fails, no rule in the step fires.
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = "aeiou"
 
 
@@ -159,6 +161,8 @@ def _step5b(word: str) -> str:
     return word
 
 
+# pure and called once per token; text repeats words, so memoize per word
+@functools.lru_cache(maxsize=None)
 def stem(word: str) -> str:
     """Stem one lowercased-on-entry English word; length <= 2 is left alone."""
     word = word.casefold()

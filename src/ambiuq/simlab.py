@@ -59,8 +59,8 @@ class SimConfig:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.regime not in REGIMES:
             raise ValidationError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.noise <= 0:
-            raise ValidationError(f"noise must be > 0, got {self.noise}")
+        if not 0 < self.noise < math.inf:
+            raise ValidationError(f"noise must be finite and > 0, got {self.noise}")
         if self.ensemble_size < 1:
             raise ValidationError("ensemble_size must be >= 1")
         if self.counts_total < 0:
@@ -139,8 +139,8 @@ def sample_model(
     p_star: Categorical, noise: float, rng: Optional[np.random.Generator] = None
 ) -> Categorical:
     """One prediction draw centered on p_star with the given concentration."""
-    if noise <= 0:
-        raise ValidationError(f"noise must be > 0, got {noise}")
+    if not 0 < noise < math.inf:
+        raise ValidationError(f"noise must be finite and > 0, got {noise}")
     rng = rng if rng is not None else np.random.default_rng(0)
     return Categorical(p_star.classes, _sample_models(p_star.probs[None, :], noise, rng)[0])
 

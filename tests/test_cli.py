@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ambiuq
 from ambiuq.cli import main
 
 LN2 = math.log(2.0)
@@ -73,6 +77,31 @@ def fixture_specs(tmp_path):
     return path
 
 
+@pytest.fixture
+def filter_script(tmp_path):
+    # accepts only chunks mentioning oxygen or heat
+    script = tmp_path / "filter.py"
+    script.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    obj = json.loads(line)\n"
+        "    ok = 'oxygen' in obj['text'] or 'heat' in obj['text']\n"
+        "    print('yes' if ok else 'no', flush=True)\n"
+    )
+    return script
+
+
+def run_cli_process(*args, env=None):
+    """Run the CLI in a child process, so a hang fails the test by timeout."""
+    src = str(Path(ambiuq.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ambiuq.cli", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def build_gt(tmp_path, fixture_corpus, fixture_specs, *extra):
     out = tmp_path / "gt.jsonl"
     log = tmp_path / "gt.discards.jsonl"
@@ -134,30 +163,67 @@ class TestBuildGT:
         out2, log2 = build_gt(tmp_path, fixture_corpus, fixture_specs)
         assert (out2.read_bytes(), log2.read_bytes()) == first
 
-    def test_worker_env_does_not_change_output(
-        self, tmp_path, fixture_corpus, fixture_specs, monkeypatch
+    def test_filter_cmd_ignores_workers_env(
+        self, tmp_path, fixture_corpus, fixture_specs, filter_script
     ):
-        out1, _ = build_gt(tmp_path, fixture_corpus, fixture_specs)
-        baseline = out1.read_bytes()
-        for workers in ("2", "8"):
-            monkeypatch.setenv("AMBIUQ_WORKERS", workers)
-            out2, _ = build_gt(tmp_path, fixture_corpus, fixture_specs)
-            assert out2.read_bytes() == baseline
+        # AMBIUQ_WORKERS once sized a thread pool that shared the filter's
+        # pipes, which garbled replies or hung; it must now change nothing
+        outputs = []
+        for workers in (None, "8"):
+            env = {k: v for k, v in os.environ.items() if k != "AMBIUQ_WORKERS"}
+            if workers is not None:
+                env["AMBIUQ_WORKERS"] = workers
+            out = tmp_path / f"gt-{workers}.jsonl"
+            proc = run_cli_process(
+                "build-gt", "--corpus", str(fixture_corpus),
+                "--specs", str(fixture_specs), "--out", str(out),
+                "--filter-cmd", f"{sys.executable} {filter_script}", env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            discards = Path(f"{out}.discards.jsonl")
+            outputs.append((out.read_bytes(), discards.read_bytes()))
+        assert outputs[0] == outputs[1]
 
-    def test_filter_cmd(self, tmp_path, fixture_corpus, fixture_specs):
-        # accept only chunks mentioning oxygen or heat; fuel gets zero
-        # counts, so q-fire must land in the discard log
-        script = tmp_path / "filter.py"
-        script.write_text(
-            "import json, sys\n"
-            "for line in sys.stdin:\n"
-            "    obj = json.loads(line)\n"
-            "    ok = 'oxygen' in obj['text'] or 'heat' in obj['text']\n"
-            "    print('yes' if ok else 'no', flush=True)\n"
+    @pytest.mark.parametrize("code, script", [
+        (3, "import sys\nsys.exit(3)\n"),
+        (4, "import sys\nsys.stdin.readline()\nprint('yes', flush=True)\nsys.exit(4)\n"),
+    ], ids=["exits-at-once", "exits-after-one-reply"])
+    def test_filter_cmd_exit_is_named(
+        self, tmp_path, fixture_corpus, fixture_specs, code, script
+    ):
+        dead = tmp_path / "dead.py"
+        dead.write_text(script)
+        out = tmp_path / "gt.jsonl"
+        proc = run_cli_process(
+            "build-gt", "--corpus", str(fixture_corpus),
+            "--specs", str(fixture_specs), "--out", str(out),
+            "--filter-cmd", f"{sys.executable} {dead}",
         )
+        assert proc.returncode == 1
+        assert f"exited with code {code}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_filter_cmd_dead_before_first_write(self, tmp_path):
+        # the CLI cases race the child's exit; here the first write must
+        # meet a broken pipe, and closing the filter must not mask the error
+        from ambiuq.cli import CommandFilter
+        from ambiuq.corpus import Chunk
+
+        dead = tmp_path / "dead.py"
+        dead.write_text("import sys\nsys.exit(3)\n")
+        accept = CommandFilter(f"{sys.executable} {dead}")
+        accept.proc.wait(timeout=60)
+        chunk = Chunk("d", "d:0", "heat", frozenset({"heat"}))
+        with pytest.raises(OSError, match="exited with code 3"):
+            accept(chunk, "q?", "heat")
+        accept.close()
+
+    def test_filter_cmd(self, tmp_path, fixture_corpus, fixture_specs, filter_script):
+        # fuel gets zero counts, so q-fire must land in the discard log
         out, log = build_gt(
             tmp_path, fixture_corpus, fixture_specs,
-            "--filter-cmd", f"{sys.executable} {script}",
+            "--filter-cmd", f"{sys.executable} {filter_script}",
         )
         ids = {r["question_id"] for r in read_jsonl(out)}
         assert "q-fire" not in ids
@@ -316,6 +382,17 @@ class TestEval:
         assert [r["gamma"] for r in rows if r["estimator"] == "SE"] == [
             "1.0", "2.0", "5.0", "10.0", "100.0", "point",
         ]
+
+    def test_non_finite_gamma_rejected_before_writing(
+        self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions, capsys
+    ):
+        gt, _ = build_gt(tmp_path, fixture_corpus, fixture_specs)
+        code, records, _ = self.run_eval(
+            tmp_path, gt, fixture_predictions, "--dirichlet-gamma", "nan,2", tag="nan"
+        )
+        assert code == 2
+        assert "--dirichlet-gamma" in capsys.readouterr().err
+        assert not records.exists()
 
     def test_identical_predictions_degenerate_exit(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
@@ -567,6 +644,12 @@ class TestSimulate:
         )
         assert code == 2
         assert "--hist-bins must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, tmp_path, noise):
+        code, out, _ = self.run_sim(tmp_path, {"k": 3, "n": 50, "noise": noise})
+        assert code == 2
+        assert not out.exists()
 
     def test_high_au_failure_is_config_error(self, tmp_path):
         code, _, _ = self.run_sim(

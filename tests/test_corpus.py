@@ -205,12 +205,6 @@ class TestGroundTruth:
         records = build_ground_truth(fixture_index(), [FROZEN_SPEC, FIRE_SPEC])
         assert [r.question_id for r in records] == ["q-fire", "q-frozen"]
 
-    def test_identical_across_worker_counts(self):
-        index = fixture_index()
-        specs = [FIRE_SPEC, FROZEN_SPEC, DEAD_SPEC]
-        runs = [build_ground_truth(index, specs, workers=w) for w in (1, 2, 8)]
-        assert runs[0] == runs[1] == runs[2]
-
     def test_accept_all_filter_matches_unfiltered(self):
         index = fixture_index()
         plain = build_ground_truth(index, [FIRE_SPEC])

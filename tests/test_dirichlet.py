@@ -38,6 +38,11 @@ class TestPosterior:
         with pytest.raises(DomainError):
             posterior([1, 2], gamma=0.5)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(DomainError):
+            posterior([1, 2], gamma)
+
     def test_bad_counts_rejected(self):
         with pytest.raises(ValidationError):
             posterior([], gamma=1.0)

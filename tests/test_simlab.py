@@ -31,8 +31,9 @@ class TestConfig:
             SimConfig(n=0)
         with pytest.raises(ValidationError):
             SimConfig(regime="other")
-        with pytest.raises(ValidationError):
-            SimConfig(noise=0.0)
+        for noise in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                SimConfig(noise=noise)
         with pytest.raises(ValidationError):
             SimConfig(k=3, deltas=(math.log(3) + 0.2,))
 
@@ -73,6 +74,12 @@ class TestSampleTruth:
 
 
 class TestSampleModel:
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        p_star = sample_truth(SimConfig(k=3, n=1, seed=0))
+        with pytest.raises(ValidationError):
+            sample_model(p_star, noise=noise)
+
     def test_zero_au_reduction(self):
         cfg = SimConfig(k=2, n=1, seed=0, regime=ZERO_AU, deltas=(0.25, 0.5))
         p_star = sample_truth(cfg)
