@@ -74,7 +74,7 @@ from .estimators import (
     mutual_information,
     semantic_entropy,
 )
-from .metrics import EvalRecord, Summary, aucroc, concordance, summarize
+from .metrics import EvalRecord, Summary, aucroc, concordance, score_columns, summarize
 from .porter import stem
 from .simlab import (
     ExperimentResult,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import select
 import shlex
 import subprocess
 import sys
@@ -27,7 +28,6 @@ from . import simlab
 from .dirichlet import expected_epistemic, posterior
 from .dist import decompose, row_entropy
 from .errors import (
-    ConfigurationError,
     DegenerateInputError,
     DomainError,
     EstimatorUnavailableError,
@@ -45,7 +45,7 @@ from .estimators import (
     mutual_information,
     semantic_entropy,
 )
-from .metrics import EvalRecord, aucroc, concordance, summarize
+from .metrics import EvalRecord, aucroc, concordance, score_columns, summarize
 
 
 def _warn(msg: str) -> None:
@@ -66,13 +66,25 @@ def _parse_float_list(text: str, flag: str):
         raise ValidationError(f"{flag}: expected comma-separated numbers: {exc}")
 
 
+def _parse_gammas(text: str, flag: str):
+    gammas = _parse_float_list(text, flag)
+    for g in gammas:
+        if not 1.0 <= g < math.inf:
+            raise ValidationError(f"{flag} values must be in [1, inf), got {g}")
+    return gammas
+
+
+FILTER_TIMEOUT_S = 30.0  # longest wait for a --filter-cmd reply, or for its exit
+
+
 class CommandFilter:
     """Entailment filter backed by an external command.
 
     The command receives one JSON object per line on stdin
     ({"chunk_id", "text", "question", "answer"}) and must reply with one
     line per object: yes/no, accept/reject, true/false, or 1/0. A command
-    that exits before replying is an I/O error naming its exit code.
+    that exits before replying is an I/O error naming its exit code; one
+    that sends no reply within FILTER_TIMEOUT_S is killed, also an I/O error.
     """
 
     _YES = {"yes", "accept", "true", "1"}
@@ -100,6 +112,11 @@ class CommandFilter:
         try:
             self.proc.stdin.write(payload + "\n")
             self.proc.stdin.flush()
+            # replies alternate with requests, so none waits in the read buffer
+            if not select.select([self.proc.stdout], [], [], FILTER_TIMEOUT_S)[0]:
+                self.proc.kill()  # close() reaps it
+                raise OSError(f"filter command {self.command!r} "
+                              f"sent no reply in {FILTER_TIMEOUT_S:g} s")
             reply = self.proc.stdout.readline()
         except BrokenPipeError:
             reply = ""
@@ -119,7 +136,7 @@ class CommandFilter:
     def close(self) -> None:
         # communicate closes stdin, tolerating a broken pipe, and reaps the child
         try:
-            self.proc.communicate(timeout=30)
+            self.proc.communicate(timeout=FILTER_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.communicate()
@@ -191,23 +208,23 @@ def cmd_build_gt(args) -> int:
     return 0
 
 
-def _metric_rows(records, estimators, deltas):
-    """One CSV row per estimator: concordance plus AUCROC at each delta."""
+def _metric_rows(columns, deltas):
+    """One CSV row per estimator column: concordance plus AUCROC at each delta."""
     auc_cols = [f"aucroc@{d:.6g}" for d in deltas]
     fieldnames = ["estimator", "concordance", *auc_cols]
     rows = []
     n_values = 0
-    for name in estimators:
+    for name, (truth, score) in columns.items():
         row = {"estimator": name}
         try:
-            row["concordance"] = f"{concordance(records, name):.6f}"
+            row["concordance"] = f"{concordance(truth, score):.6f}"
             n_values += 1
         except DegenerateInputError as exc:
             _warn(f"concordance[{name}]: {exc}")
             row["concordance"] = ""
         for d, col in zip(deltas, auc_cols):
             try:
-                row[col] = f"{aucroc(records, name, d):.6f}"
+                row[col] = f"{aucroc(truth, score, d):.6f}"
                 n_values += 1
             except DegenerateInputError as exc:
                 _warn(f"aucroc[{name}, delta={d:.6g}]: {exc}")
@@ -241,11 +258,8 @@ def cmd_eval(args) -> int:
     if not (0.0 < args.epsilon <= 0.1):
         raise ValidationError(f"--epsilon must be in (0, 0.1], got {args.epsilon}")
     deltas = _parse_float_list(args.deltas, "--deltas")
-    gammas = _parse_float_list(args.dirichlet_gamma, "--dirichlet-gamma") \
+    gammas = _parse_gammas(args.dirichlet_gamma, "--dirichlet-gamma") \
         if args.dirichlet_gamma else ()
-    for g in gammas:
-        if not 1.0 <= g < math.inf:
-            raise ValidationError(f"--dirichlet-gamma values must be in [1, inf), got {g}")
 
     mapping = None
     if args.equivalence:
@@ -284,9 +298,7 @@ def cmd_eval(args) -> int:
     if not matched:
         raise ValidationError("no question_id is present in both input files")
 
-    single_gamma = gammas[0] if len(gammas) == 1 else None
-    eval_records = []
-    counts_list, model_list = [], []
+    truth, score_rows, counts_list, model_list = [], [], [], []
     for qid in matched:
         gt = gt_records[qid]
         pred = predictions[qid]
@@ -294,13 +306,9 @@ def cmd_eval(args) -> int:
         p_star_aligned, p_model_aligned = align(
             gt.p_star, p_model, eq, epsilon=args.epsilon
         )
-        parts = decompose(p_star_aligned, p_model_aligned)
-        true_eu = max(parts.epistemic, 0.0)
-        counts = _aligned_counts(gt, p_star_aligned.classes, eq)
-        if single_gamma is not None:
-            true_eu = max(
-                expected_epistemic(posterior(counts, single_gamma), p_model_aligned), 0.0
-            )
+        truth.append(decompose(p_star_aligned, p_model_aligned).epistemic)
+        counts_list.append(_aligned_counts(gt, p_star_aligned.classes, eq))
+        model_list.append(p_model_aligned.probs)
         scores = {"SE": semantic_entropy(p_model)}
         try:
             scores["MSP"] = msp(pred.best_answer_prob)
@@ -312,10 +320,14 @@ def cmd_eval(args) -> int:
             )
         else:
             _warn(f"{qid}: MI disabled: no ensemble in prediction record")
-        eval_records.append(EvalRecord(qid, true_eu, scores))
-        counts_list.append(counts)
-        model_list.append(p_model_aligned.probs)
-    estimators = sorted({name for r in eval_records for name in r.scores})
+        score_rows.append(scores)
+    if len(gammas) == 1:
+        truth = np.empty(len(matched))
+        for idx, c, p in simlab.support_groups(counts_list, model_list):
+            truth[idx] = expected_epistemic(posterior(c, gammas[0]), p)
+    eval_records = [EvalRecord(qid, max(float(t), 0.0), scores)
+                    for qid, t, scores in zip(matched, truth, score_rows)]
+    columns = score_columns(eval_records)
 
     formats.write_jsonl(
         args.records_out, (formats.eval_record_to_dict(r) for r in eval_records)
@@ -325,32 +337,27 @@ def cmd_eval(args) -> int:
     if len(gammas) > 1:
         # each estimator is ablated over the records that carry it
         rows = []
-        for name in estimators:
-            keep = [i for i, r in enumerate(eval_records) if name in r.scores]
+        for name, (_, score) in columns.items():
+            keep = [i for i, scores in enumerate(score_rows) if name in scores]
+            subset = [counts_list[i] for i in keep], [model_list[i] for i in keep]
             try:
-                rows.extend(
-                    simlab.gamma_ablation(
-                        [counts_list[i] for i in keep],
-                        [model_list[i] for i in keep],
-                        {name: [eval_records[i].scores[name] for i in keep]},
-                        gammas,
-                    )
-                )
+                rows.extend(simlab.gamma_ablation(*subset, {name: score}, gammas))
             except DegenerateInputError as exc:
                 _warn(f"gamma ablation[{name}]: {exc}")
         labels = [*gammas, "point"]
         rows.sort(key=lambda r: (labels.index(r["gamma"]), r["estimator"]))
-        _write_ablation(args.ablation_out, rows)
-        print(f"wrote gamma ablation to {args.ablation_out}")
+        ablation_out = args.ablation_out or f"{args.metrics_out}.ablation.csv"
+        _write_ablation(ablation_out, rows)
+        print(f"wrote gamma ablation to {ablation_out}")
 
-    fieldnames, rows, n_values = _metric_rows(eval_records, estimators, deltas)
+    fieldnames, rows, n_values = _metric_rows(columns, deltas)
     if n_values == 0:
         raise DegenerateInputError(
             "no metric is defined on these records (constant true EU and/or "
             "single-class binarization at every delta)"
         )
     formats.write_csv(args.metrics_out, fieldnames, rows)
-    print(f"wrote metrics for {len(estimators)} estimators to {args.metrics_out}")
+    print(f"wrote metrics for {len(columns)} estimators to {args.metrics_out}")
     return 0
 
 
@@ -419,6 +426,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     config = simlab.SimConfig.from_dict(raw)
+    if args.ablation_csv:
+        gammas = _parse_gammas(args.gammas, "--gammas")
+        if config.counts_total == 0:
+            raise DegenerateInputError("--ablation-csv needs counts_total > 0")
     result = simlab.run_experiment(config)
 
     formats.write_jsonl(
@@ -445,7 +456,6 @@ def cmd_simulate(args) -> int:
     if args.hist_csv:
         _write_histogram(args.hist_csv, row_entropy(result.p_star), args.hist_bins)
     if args.ablation_csv:
-        gammas = _parse_float_list(args.gammas, "--gammas")
         _write_ablation(args.ablation_csv, result.gamma_ablation(gammas))
     return 0
 
@@ -462,14 +472,14 @@ def cmd_metrics(args) -> int:
             _warn(f"{args.records}:{lineno}: skipped: {exc}")
     if not records:
         raise ValidationError("no usable eval records")
-    estimators = sorted({name for r in records for name in r.scores})
-    fieldnames, rows, n_values = _metric_rows(records, estimators, deltas)
+    columns = score_columns(records)
+    fieldnames, rows, n_values = _metric_rows(columns, deltas)
     if n_values == 0:
         raise DegenerateInputError("no metric is defined on these records")
     formats.write_csv(args.metrics_out, fieldnames, rows)
     if args.hist_out:
         _write_histogram(args.hist_out, [r.true_eu for r in records], args.hist_bins)
-    print(f"wrote metrics for {len(estimators)} estimators to {args.metrics_out}")
+    print(f"wrote metrics for {len(columns)} estimators to {args.metrics_out}")
     return 0
 
 
@@ -495,7 +505,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--records-out", required=True, help="EvalRecord JSONL output")
     p.add_argument("--metrics-out", required=True, help="metrics CSV output")
-    p.add_argument("--ablation-out", default="gamma_ablation.csv")
+    p.add_argument("--ablation-out", default=None,
+                   help="gamma-ablation CSV (default: <metrics-out>.ablation.csv)")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--deltas", default=",".join(str(d) for d in simlab.DEFAULT_DELTAS))
     p.add_argument(
@@ -546,9 +557,6 @@ def main(argv=None) -> int:
     except DegenerateInputError as exc:
         _warn(f"degenerate input: {exc}")
         return 3
-    except (ValidationError, DomainError, ConfigurationError) as exc:
-        _warn(f"error: {exc}")
-        return 2
     except UQError as exc:
         _warn(f"error: {exc}")
         return 2

@@ -210,13 +210,10 @@ def _spec_record(index, spec: QuestionSpec, cap, accept) -> GroundTruthRecord:
         return GroundTruthRecord(
             spec.question_id, spec.answers, (), None, True, "duplicate answers", ()
         )
-    counts, raws = [], []
-    for answer in spec.answers:
-        count, raw = _count_detail(index, spec.keywords, answer, cap, accept, spec.question)
-        counts.append(count)
-        raws.append(raw)
-    counts = tuple(counts)
-    raws = tuple(raws)
+    counts, raws = zip(*(
+        _count_detail(index, spec.keywords, answer, cap, accept, spec.question)
+        for answer in spec.answers
+    ))
     if min(counts) == 0:
         zeros = [a for a, c in zip(spec.answers, counts) if c == 0]
         return GroundTruthRecord(

@@ -175,8 +175,6 @@ def align_ensemble(
 ) -> EnsemblePrediction:
     """Align ensemble members onto their joint canonical support, imputing
     epsilon (then renormalizing) wherever a member lacks a class."""
-    if not members:
-        raise ValidationError("ensemble must have at least one member")
     eq = eq or EquivalenceMap()
     merged = [_canonical_merge(m.classes, m.probs, eq) for m in members]
     joint = list(dict.fromkeys([c for m in merged for c in m]))

@@ -6,10 +6,9 @@ estimator scores exactly 1.0 and a constant one exactly 0.5. AUC-ROC is
 computed from midrank statistics (Mann-Whitney), which handles ties exactly
 without curve interpolation.
 
-The array entry points ``concordance_from_scores(truth, score)`` and
-``aucroc_from_scores(truth, score, delta)`` do the counting on NumPy arrays;
-``concordance`` and ``aucroc`` take :class:`EvalRecord` lists and an
-estimator name and call them.
+``concordance(truth, score)`` and ``aucroc(truth, score, delta)`` count on
+NumPy arrays. :func:`score_columns` turns :class:`EvalRecord` lists into
+those arrays in one pass.
 """
 
 from __future__ import annotations
@@ -40,12 +39,13 @@ class EvalRecord:
             raise ValidationError(f"{self.question_id}: non-finite scores for {bad}")
 
 
-def _extract(records, estimator: str):
-    pairs = [(r.true_eu, r.scores[estimator]) for r in records if estimator in r.scores]
-    if not pairs:
-        raise DegenerateInputError(f"no records carry estimator {estimator!r}")
-    arr = np.asarray(pairs, dtype=float)
-    return arr[:, 0], arr[:, 1]
+def score_columns(records) -> dict:
+    """{estimator: (truth, score)} arrays in one pass: names sorted, rows in record order."""
+    columns: dict = {}
+    for r in records:
+        for name, value in r.scores.items():
+            columns.setdefault(name, []).append((r.true_eu, value))
+    return {name: tuple(np.asarray(columns[name], dtype=float).T) for name in sorted(columns)}
 
 
 def _as_arrays(truth, score):
@@ -82,7 +82,7 @@ def _inversions(seq: np.ndarray) -> int:
     return moved // 2
 
 
-def concordance_from_scores(truth, score) -> float:
+def concordance(truth, score) -> float:
     """P(score ranks the higher-truth item higher), with 0.5 credit for score
     ties and truth ties excluded; 0.5 is chance, 1.0 is perfect."""
     truth, score = _as_arrays(truth, score)
@@ -100,12 +100,7 @@ def concordance_from_scores(truth, score) -> float:
     return (concordant + 0.5 * score_tied) / comparable
 
 
-def concordance(records, estimator: str) -> float:
-    """:func:`concordance_from_scores` over the records carrying the estimator."""
-    return concordance_from_scores(*_extract(records, estimator))
-
-
-def aucroc_from_scores(truth, score, delta: float) -> float:
+def aucroc(truth, score, delta: float) -> float:
     """Rank-based AUC separating uncertain (truth >= delta) from certain
     items by score; score ties credit 0.5."""
     truth, score = _as_arrays(truth, score)
@@ -120,11 +115,6 @@ def aucroc_from_scores(truth, score, delta: float) -> float:
     midranks = np.cumsum(counts) - (counts - 1) / 2.0  # 1-based, ties averaged
     rank_sum = float(midranks[inverse][positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def aucroc(records, estimator: str, delta: float) -> float:
-    """:func:`aucroc_from_scores` over the records carrying the estimator."""
-    return aucroc_from_scores(*_extract(records, estimator), delta)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .bounds import BoundQuery, alpha_delta, gamma_delta
 from .dirichlet import expected_epistemic, posterior
 from .dist import Categorical, row_cross_entropy, row_entropy, row_kl
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
-from .metrics import EvalRecord, concordance, concordance_from_scores
+from .metrics import EvalRecord, concordance
 
 ZERO_AU = "zero-AU"
 FREE_AU = "free-AU"
@@ -273,9 +273,9 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
             "not applicable: bounds assume the zero-AU regime"
         )
     conc = {}
-    for name in scores:
+    for name, vals in scores.items():
         try:
-            conc[name] = concordance(records, name)
+            conc[name] = concordance(eu, vals)
         except DegenerateInputError as exc:
             conc[name] = None
             report.setdefault("notes", []).append(f"concordance[{name}]: {exc}")
@@ -292,16 +292,11 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     )
 
 
-def gamma_ablation(
-    counts, p_model, scores: dict, gammas=DEFAULT_GAMMAS, include_point: bool = True
-):
-    """Concordance of each estimator against the Dirichlet expected EU, per
-    scaling factor gamma; the "point" row uses KL(normalize(counts)||p).
+def support_groups(counts, p_model) -> list:
+    """(row indices, stacked counts, stacked p_model), one per support size.
 
-    Ragged supports are grouped by size, one batched call per group: zero
-    padding would still give a padded class alpha = 1 and change E[KL].
-
-    Returns rows {"gamma", "estimator", "concordance"} in grid order.
+    Ragged supports are grouped by size rather than zero padded: a padded
+    class would still get alpha = 1 and change E[KL].
     """
     counts = [np.asarray(c, dtype=float) for c in counts]
     p_model = [np.asarray(p, dtype=float) for p in p_model]
@@ -312,10 +307,22 @@ def gamma_ablation(
         if c.ndim != 1:
             raise ValidationError("each counts entry must be a 1-D vector")
         groups.setdefault((c.shape, p.shape), []).append(i)
-    batches = [
+    return [
         (idx, np.stack([counts[i] for i in idx]), np.stack([p_model[i] for i in idx]))
         for idx in groups.values()
     ]
+
+
+def gamma_ablation(
+    counts, p_model, scores: dict, gammas=DEFAULT_GAMMAS, include_point: bool = True
+):
+    """Concordance of each estimator against the Dirichlet expected EU, per
+    scaling factor gamma; the "point" row uses KL(normalize(counts)||p).
+
+    One batched call per (gamma, support size), see :func:`support_groups`.
+    Returns rows {"gamma", "estimator", "concordance"} in grid order.
+    """
+    batches = support_groups(counts, p_model)
 
     def truth_for(label) -> np.ndarray:
         truth = np.empty(len(counts))
@@ -331,8 +338,7 @@ def gamma_ablation(
     for label in [*gammas, "point"] if include_point else gammas:
         truth = truth_for(label)
         out.extend(
-            {"gamma": label, "estimator": name,
-             "concordance": concordance_from_scores(truth, vals)}
+            {"gamma": label, "estimator": name, "concordance": concordance(truth, vals)}
             for name, vals in scores.items()
         )
     return out

@@ -43,7 +43,7 @@ from ambiuq.dist import (
     row_kl,
 )
 from ambiuq.estimators import EnsemblePrediction, mutual_information
-from ambiuq.metrics import EvalRecord, aucroc, concordance
+from ambiuq.metrics import EvalRecord, aucroc, concordance, score_columns
 from ambiuq.simlab import FREE_AU, ZERO_AU, SimConfig, run_experiment
 
 LN2 = math.log(2.0)
@@ -303,17 +303,18 @@ def test_09_metrics_oracle_equivalence():
         expected = brute_concordance(eus.tolist(), scores.tolist())
         if expected is None:
             continue
-        assert concordance(records, "SE") == pytest.approx(expected, abs=1e-12)
-        base = concordance(records, "SE")
+        truth, score = score_columns(records)["SE"]
+        assert concordance(truth, score) == pytest.approx(expected, abs=1e-12)
+        base = concordance(truth, score)
         exp_records = [
             EvalRecord(r.question_id, r.true_eu, {"SE": math.exp(r.scores["SE"])})
             for r in records
         ]
-        assert concordance(exp_records, "SE") == pytest.approx(base, abs=1e-12)
+        assert concordance(*score_columns(exp_records)["SE"]) == pytest.approx(base, abs=1e-12)
         delta = float(rng.uniform(0.2, 1.2))
         expected_auc = brute_aucroc(eus.tolist(), scores.tolist(), delta)
         if expected_auc is not None:
-            assert aucroc(records, "SE", delta) == pytest.approx(expected_auc, abs=1e-12)
+            assert aucroc(truth, score, delta) == pytest.approx(expected_auc, abs=1e-12)
         instances += 1
     report(9, "metrics-oracle-equivalence", instances == 100, "100 instances, exact match")
 

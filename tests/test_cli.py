@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ambiuq
+from ambiuq import cli
 from ambiuq.cli import main
 
 LN2 = math.log(2.0)
@@ -219,6 +220,25 @@ class TestBuildGT:
             accept(chunk, "q?", "heat")
         accept.close()
 
+    def test_mute_filter_cmd_times_out(
+        self, tmp_path, fixture_corpus, fixture_specs, monkeypatch, capsys
+    ):
+        # reads every request and never replies, without exiting
+        mute = tmp_path / "mute.py"
+        mute.write_text("import sys\nfor line in sys.stdin:\n    pass\n")
+        monkeypatch.setattr(cli, "FILTER_TIMEOUT_S", 0.5)
+        out = tmp_path / "gt.jsonl"
+        code = main([
+            "build-gt", "--corpus", str(fixture_corpus),
+            "--specs", str(fixture_specs), "--out", str(out),
+            "--filter-cmd", f"{sys.executable} {mute}",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sent no reply in 0.5 s" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_filter_cmd(self, tmp_path, fixture_corpus, fixture_specs, filter_script):
         # fuel gets zero counts, so q-fire must land in the discard log
         out, log = build_gt(
@@ -382,6 +402,65 @@ class TestEval:
         assert [r["gamma"] for r in rows if r["estimator"] == "SE"] == [
             "1.0", "2.0", "5.0", "10.0", "100.0", "point",
         ]
+
+    def test_ablation_defaults_next_to_metrics(
+        self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions, monkeypatch
+    ):
+        gt, _ = build_gt(tmp_path, fixture_corpus, fixture_specs)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, _, metrics = self.run_eval(
+            tmp_path, gt, fixture_predictions, "--dirichlet-gamma", "1,2"
+        )
+        assert code == 0
+        rows = read_csv(Path(f"{metrics}.ablation.csv"))
+        assert [r["gamma"] for r in rows if r["estimator"] == "SE"] == ["1.0", "2.0", "point"]
+        assert list(cwd.iterdir()) == []
+
+    def test_single_gamma_truth_equals_per_record_scalar(self, tmp_path, monkeypatch):
+        from ambiuq.dirichlet import expected_epistemic, posterior
+        from ambiuq.estimators import align, cluster
+        from ambiuq.formats import parse_ground_truth, parse_prediction
+
+        # five questions over supports of two and three answers
+        rng = np.random.default_rng(5)
+        gt_rows, pred_rows = [], []
+        for i, answers in enumerate([["a", "b"], ["a", "b", "c"], ["a", "b"],
+                                     ["a", "b", "c"], ["a", "b", "c"]]):
+            counts = [int(c) for c in rng.integers(1, 40, size=len(answers))]
+            gt_rows.append({
+                "question_id": f"q{i}", "answers": answers, "counts": counts,
+                "discarded": False,
+                "p_star": {"classes": answers, "probs": [c / sum(counts) for c in counts]},
+            })
+            probs = rng.dirichlet(np.ones(len(answers)))
+            pred_rows.append({
+                "question_id": f"q{i}",
+                "samples": [{"text": a, "seq_prob": float(p)} for a, p in zip(answers, probs)],
+            })
+        gt, preds = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl"
+        write_jsonl(gt, gt_rows)
+        write_jsonl(preds, pred_rows)
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expected_epistemic(*args)
+
+        monkeypatch.setattr(cli, "expected_epistemic", counted)
+        code, records_path, _ = self.run_eval(tmp_path, gt, preds, "--dirichlet-gamma", "2")
+        assert code == 0
+        assert len(calls) == 2  # one batched call per support size
+        records = read_jsonl(records_path)
+        assert len(records) == 5
+        for row, pred, record in zip(gt_rows, pred_rows, records):
+            truth = parse_ground_truth(row)
+            p_star, p_model = align(truth.p_star, cluster(parse_prediction(pred)))
+            assert p_star.classes == truth.answers
+            expected = max(expected_epistemic(posterior(truth.counts, 2.0), p_model), 0.0)
+            assert record["true_eu"] == expected
 
     def test_non_finite_gamma_rejected_before_writing(
         self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions, capsys
@@ -650,6 +729,24 @@ class TestSimulate:
         code, out, _ = self.run_sim(tmp_path, {"k": 3, "n": 50, "noise": noise})
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("gammas", ["nan,2", "0.5,2"])
+    def test_bad_gammas_rejected_before_writing(self, tmp_path, gammas, capsys):
+        code, out, report = self.run_sim(
+            tmp_path, {"k": 3, "n": 50, "counts_total": 20},
+            "--ablation-csv", str(tmp_path / "a.csv"), "--gammas", gammas,
+        )
+        assert code == 2
+        assert "--gammas values must be in [1, inf)" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
+    def test_ablation_without_counts_rejected_before_writing(self, tmp_path, capsys):
+        code, out, report = self.run_sim(
+            tmp_path, {"k": 3, "n": 50}, "--ablation-csv", str(tmp_path / "a.csv")
+        )
+        assert code == 3
+        assert "counts_total > 0" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
 
     def test_high_au_failure_is_config_error(self, tmp_path):
         code, _, _ = self.run_sim(

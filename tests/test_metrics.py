@@ -6,14 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ambiuq.errors import DegenerateInputError, ValidationError
-from ambiuq.metrics import (
-    EvalRecord,
-    aucroc,
-    aucroc_from_scores,
-    concordance,
-    concordance_from_scores,
-    summarize,
-)
+from ambiuq.metrics import EvalRecord, aucroc, concordance, score_columns, summarize
 
 LN2 = math.log(2.0)
 
@@ -23,6 +16,11 @@ def records_from(true_eus, scores, name="SE"):
         EvalRecord(f"q{i}", float(t), {name: float(s)})
         for i, (t, s) in enumerate(zip(true_eus, scores))
     ]
+
+
+def se_column(true_eus, scores):
+    """(truth, score) arrays of "SE" records, through score_columns."""
+    return score_columns(records_from(true_eus, scores))["SE"]
 
 
 def brute_concordance(true_eus, scores):
@@ -76,10 +74,10 @@ class TestEvalRecord:
 class TestConcordance:
     def test_perfect_ranking(self):
         eus = [0.1, 0.5, 0.2, 0.9]
-        assert concordance(records_from(eus, eus), "SE") == 1.0
+        assert concordance(*se_column(eus, eus)) == 1.0
 
     def test_constant_estimator_is_chance(self):
-        assert concordance(records_from([0.1, 0.2, 0.3], [1, 1, 1]), "SE") == 0.5
+        assert concordance(*se_column([0.1, 0.2, 0.3], [1, 1, 1])) == 0.5
 
     def test_five_record_example(self):
         # EU [0.1..0.5] vs scores [0.3,0.1,0.4,0.2,0.5]: brute enumeration
@@ -87,11 +85,11 @@ class TestConcordance:
         eus = [0.1, 0.2, 0.3, 0.4, 0.5]
         scores = [0.3, 0.1, 0.4, 0.2, 0.5]
         assert brute_concordance(eus, scores) == 0.7
-        assert concordance(records_from(eus, scores), "SE") == 0.7
+        assert concordance(*se_column(eus, scores)) == 0.7
 
     def test_anti_ranking(self):
         eus = [0.1, 0.5, 0.2, 0.9]
-        assert concordance(records_from(eus, [-e for e in eus]), "SE") == 0.0
+        assert concordance(*se_column(eus, [-e for e in eus])) == 0.0
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(0)
@@ -103,52 +101,48 @@ class TestConcordance:
             if (eus == eus[0]).all():
                 eus[0] += 1.0
             expected = brute_concordance(eus.tolist(), scores.tolist())
-            got = concordance(records_from(eus, scores), "SE")
+            got = concordance(*se_column(eus, scores))
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
         eus = rng.uniform(0, 2, size=200)
         scores = rng.uniform(0, 2, size=200)
-        base = concordance(records_from(eus, scores), "SE")
-        assert concordance(records_from(eus, np.exp(scores)), "SE") == pytest.approx(base)
-        assert concordance(records_from(eus, 3.5 * scores + 2), "SE") == pytest.approx(base)
+        base = concordance(*se_column(eus, scores))
+        assert concordance(*se_column(eus, np.exp(scores))) == pytest.approx(base)
+        assert concordance(*se_column(eus, 3.5 * scores + 2)) == pytest.approx(base)
 
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(2)
         eus = rng.uniform(0, 1, size=1000)
         scores = rng.uniform(0, 1, size=1000)
-        assert concordance(records_from(eus, scores), "SE") == pytest.approx(0.5, abs=0.05)
+        assert concordance(*se_column(eus, scores)) == pytest.approx(0.5, abs=0.05)
 
     def test_all_tied_truth_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            concordance(records_from([0.3, 0.3, 0.3], [1, 2, 3]), "SE")
+            concordance(*se_column([0.3, 0.3, 0.3], [1, 2, 3]))
 
     def test_missing_estimator_records_skipped(self):
         records = records_from([0.1, 0.2, 0.3], [1, 2, 3]) + [
             EvalRecord("extra", 0.9, {})
         ]
-        assert concordance(records, "SE") == 1.0
-
-    def test_unknown_estimator(self):
-        with pytest.raises(DegenerateInputError):
-            concordance(records_from([0.1, 0.2], [1, 2]), "nope")
+        assert concordance(*score_columns(records)["SE"]) == 1.0
 
 
 class TestAUCROC:
     def test_perfect(self):
         eus = [0.1, 0.5, 0.8, 1.0]
-        assert aucroc(records_from(eus, eus), "SE", LN2) == 1.0
+        assert aucroc(*se_column(eus, eus), LN2) == 1.0
 
     def test_anti_correlated(self):
         eus = [0.1, 0.5, 0.8, 1.0]
-        assert aucroc(records_from(eus, [-e for e in eus]), "SE", LN2) == 0.0
+        assert aucroc(*se_column(eus, [-e for e in eus]), LN2) == 0.0
 
     def test_four_record_example(self):
         eus = [0.1, 0.5, 0.8, 1.0]
         scores = [0.2, 0.9, 0.3, 0.8]
         assert brute_aucroc(eus, scores, LN2) == 0.5
-        assert aucroc(records_from(eus, scores), "SE", LN2) == 0.5
+        assert aucroc(*se_column(eus, scores), LN2) == 0.5
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(3)
@@ -160,7 +154,7 @@ class TestAUCROC:
             if not ((eus >= delta).any() and (eus < delta).any()):
                 continue
             expected = brute_aucroc(eus.tolist(), scores.tolist(), delta)
-            got = aucroc(records_from(eus, scores), "SE", delta)
+            got = aucroc(*se_column(eus, scores), delta)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_threshold_grid_supported(self):
@@ -168,12 +162,12 @@ class TestAUCROC:
         eus = rng.uniform(0, 2, size=300)
         scores = eus + rng.normal(0, 0.3, size=300)
         for delta in (math.log(1.5), math.log(2), math.log(3)):
-            value = aucroc(records_from(eus, scores), "SE", delta)
+            value = aucroc(*se_column(eus, scores), delta)
             assert 0.5 < value <= 1.0
 
     def test_single_class_names_delta(self):
         with pytest.raises(DegenerateInputError, match="0.6931"):
-            aucroc(records_from([0.1, 0.2], [1, 2]), "SE", LN2)
+            aucroc(*se_column([0.1, 0.2], [1, 2]), LN2)
 
 
 class TestSummarize:
@@ -220,10 +214,10 @@ class TestArrayEntryPoints:
         eus, scores = (np.array(v, dtype=float) for v in pair)
         if (eus == eus[0]).all():
             with pytest.raises(DegenerateInputError):
-                concordance_from_scores(eus, scores)
+                concordance(eus, scores)
             return
         expected = brute_concordance(eus.tolist(), scores.tolist())
-        assert concordance_from_scores(eus, scores) == expected
+        assert concordance(eus, scores) == expected
 
     @oracle_settings
     @given(tied_pairs, st.sampled_from([0.5, 1.5, 2.5]))
@@ -232,18 +226,30 @@ class TestArrayEntryPoints:
         eus, scores = (np.array(v, dtype=float) for v in pair)
         assume((eus >= delta).any() and (eus < delta).any())
         expected = brute_aucroc(eus.tolist(), scores.tolist(), delta)
-        assert aucroc_from_scores(eus, scores, delta) == expected
+        assert aucroc(eus, scores, delta) == expected
 
-    def test_record_wrappers_agree(self):
+    def test_score_columns_agree(self):
         rng = np.random.default_rng(6)
         eus = rng.uniform(0, 1.5, size=300)
         scores = np.round(eus + rng.normal(0, 0.3, size=300), 1)
-        records = records_from(eus, scores)
-        assert concordance(records, "SE") == concordance_from_scores(eus, scores)
-        assert aucroc(records, "SE", LN2) == aucroc_from_scores(eus, scores, LN2)
+        assert concordance(*se_column(eus, scores)) == concordance(eus, scores)
+        assert aucroc(*se_column(eus, scores), LN2) == aucroc(eus, scores, LN2)
 
-    @pytest.mark.parametrize("fn", [concordance_from_scores,
-                                    lambda t, s: aucroc_from_scores(t, s, 0.5)])
+    def test_score_columns_order(self):
+        records = [
+            EvalRecord("a", 0.3, {"SE": 1.0, "MI": 2.0}),
+            EvalRecord("b", 0.1, {"SE": 3.0}),
+            EvalRecord("c", 0.2, {"MI": 4.0, "SE": 5.0}),
+        ]
+        columns = score_columns(records)
+        assert list(columns) == ["MI", "SE"]
+        assert [c.tolist() for c in columns["MI"]] == [[0.3, 0.2], [2.0, 4.0]]
+        assert [c.tolist() for c in columns["SE"]] == [[0.3, 0.1, 0.2], [1.0, 3.0, 5.0]]
+        assert score_columns([]) == {}
+
+    # The concordance case keeps the id it had under the function's former name.
+    @pytest.mark.parametrize("fn", [pytest.param(concordance, id="concordance_from_scores"),
+                                    lambda t, s: aucroc(t, s, 0.5)])
     def test_bad_arrays_rejected(self, fn):
         with pytest.raises(ValidationError, match="finite"):
             fn([0.1, math.nan, 0.9], [1.0, 2.0, 3.0])

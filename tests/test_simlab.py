@@ -6,7 +6,7 @@ import pytest
 from ambiuq.dirichlet import expected_epistemic, posterior
 from ambiuq.dist import row_entropy, row_kl
 from ambiuq.errors import ConfigurationError, DegenerateInputError, ValidationError
-from ambiuq.metrics import EvalRecord, concordance
+from ambiuq.metrics import EvalRecord, concordance, score_columns
 from ambiuq.simlab import (
     FREE_AU,
     HIGH_AU,
@@ -224,7 +224,7 @@ class TestGammaAblation:
                 EvalRecord(f"q{i}", max(t, 0.0), {n: float(v[i]) for n, v in scores.items()})
                 for i, t in enumerate(truth)
             ]
-            return {name: concordance(records, name) for name in scores}
+            return {name: concordance(*col) for name, col in score_columns(records).items()}
 
         rows = gamma_ablation(counts, p_model, scores, gammas)
         got = {(r["gamma"], r["estimator"]): r["concordance"] for r in rows}
