@@ -59,19 +59,23 @@ def _read_jsonl_with_warnings(path):
     return records
 
 
-def _parse_float_list(text: str, flag: str):
+def _parse_float_list(text: str, flag: str, rule: str, ok):
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        values = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ValidationError(f"{flag}: expected comma-separated numbers: {exc}")
+    for v in values:
+        if not ok(v):
+            raise ValidationError(f"{flag} values must be {rule}, got {v}")
+    return values
 
 
 def _parse_gammas(text: str, flag: str):
-    gammas = _parse_float_list(text, flag)
-    for g in gammas:
-        if not 1.0 <= g < math.inf:
-            raise ValidationError(f"{flag} values must be in [1, inf), got {g}")
-    return gammas
+    return _parse_float_list(text, flag, "in [1, inf)", lambda g: 1.0 <= g < math.inf)
+
+
+def _parse_deltas(text: str):
+    return _parse_float_list(text, "--deltas", "finite and > 0", lambda d: 0.0 < d < math.inf)
 
 
 FILTER_TIMEOUT_S = 30.0  # longest wait for a --filter-cmd reply, or for its exit
@@ -210,25 +214,24 @@ def cmd_build_gt(args) -> int:
 
 def _metric_rows(columns, deltas):
     """One CSV row per estimator column: concordance plus AUCROC at each delta."""
-    auc_cols = [f"aucroc@{d:.6g}" for d in deltas]
-    fieldnames = ["estimator", "concordance", *auc_cols]
+    fieldnames = ["estimator", "concordance", *(f"aucroc@{d:.6g}" for d in deltas)]
     rows = []
     n_values = 0
     for name, (truth, score) in columns.items():
-        row = {"estimator": name}
+        row = [name]
         try:
-            row["concordance"] = f"{concordance(truth, score):.6f}"
+            row.append(f"{concordance(truth, score):.6f}")
             n_values += 1
         except DegenerateInputError as exc:
             _warn(f"concordance[{name}]: {exc}")
-            row["concordance"] = ""
-        for d, col in zip(deltas, auc_cols):
+            row.append("")
+        for d in deltas:
             try:
-                row[col] = f"{aucroc(truth, score, d):.6f}"
+                row.append(f"{aucroc(truth, score, d):.6f}")
                 n_values += 1
             except DegenerateInputError as exc:
                 _warn(f"aucroc[{name}, delta={d:.6g}]: {exc}")
-                row[col] = ""
+                row.append("")
         rows.append(row)
     return fieldnames, rows, n_values
 
@@ -241,23 +244,19 @@ def _aligned_counts(record, joint_classes, eq) -> np.ndarray:
 
 def _write_histogram(path, values, bins: int) -> None:
     rows = summarize(values, bins=bins).histogram_rows()
-    formats.write_csv(
-        path,
-        ["bin_left", "bin_right", "count"],
-        ({"bin_left": f"{left:.9g}", "bin_right": f"{right:.9g}", "count": count}
-         for left, right, count in rows),
-    )
+    formats.write_csv(path, ["bin_left", "bin_right", "count"],
+                      ([f"{left:.9g}", f"{right:.9g}", count] for left, right, count in rows))
 
 
 def _write_ablation(path, rows) -> None:
-    rows = ({**row, "concordance": f"{row['concordance']:.6f}"} for row in rows)
-    formats.write_csv(path, ["gamma", "estimator", "concordance"], rows)
+    formats.write_csv(path, ["gamma", "estimator", "concordance"],
+                      ([r["gamma"], r["estimator"], f"{r['concordance']:.6f}"] for r in rows))
 
 
 def cmd_eval(args) -> int:
     if not (0.0 < args.epsilon <= 0.1):
         raise ValidationError(f"--epsilon must be in (0, 0.1], got {args.epsilon}")
-    deltas = _parse_float_list(args.deltas, "--deltas")
+    deltas = _parse_deltas(args.deltas)
     gammas = _parse_gammas(args.dirichlet_gamma, "--dirichlet-gamma") \
         if args.dirichlet_gamma else ()
 
@@ -335,13 +334,15 @@ def cmd_eval(args) -> int:
     print(f"wrote {len(eval_records)} eval records to {args.records_out}")
 
     if len(gammas) > 1:
-        # each estimator is ablated over the records that carry it
+        # one truth per gamma; each estimator is scored on the records that carry it
+        truths = simlab.ablation_truths(counts_list, model_list, gammas)
         rows = []
         for name, (_, score) in columns.items():
             keep = [i for i, scores in enumerate(score_rows) if name in scores]
-            subset = [counts_list[i] for i in keep], [model_list[i] for i in keep]
             try:
-                rows.extend(simlab.gamma_ablation(*subset, {name: score}, gammas))
+                rows += [{"gamma": label, "estimator": name,
+                          "concordance": concordance(truth[keep], score)}
+                         for label, truth in truths]
             except DegenerateInputError as exc:
                 _warn(f"gamma ablation[{name}]: {exc}")
         labels = [*gammas, "point"]
@@ -432,26 +433,16 @@ def cmd_simulate(args) -> int:
             raise DegenerateInputError("--ablation-csv needs counts_total > 0")
     result = simlab.run_experiment(config)
 
-    formats.write_jsonl(
-        args.out, (formats.eval_record_to_dict(r) for r in result.records)
-    )
+    formats.write_eval_columns(args.out, result.question_ids, result.true_eu, result.scores)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(result.report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(result.records)} records to {args.out}; report to {args.report}")
+    print(f"wrote {config.n} records to {args.out}; report to {args.report}")
 
     if args.scatter_csv:
-        se = result.scores["SE"]
         formats.write_csv(
-            args.scatter_csv,
-            ["question_id", "predictive_entropy", "true_eu"],
-            (
-                {
-                    "question_id": r.question_id,
-                    "predictive_entropy": f"{se[i]:.9g}",
-                    "true_eu": f"{r.true_eu:.9g}",
-                }
-                for i, r in enumerate(result.records)
-            ),
+            args.scatter_csv, ["question_id", "predictive_entropy", "true_eu"],
+            zip(result.question_ids, *([f"{v:.9g}" for v in col.tolist()]
+                                       for col in (result.scores["SE"], result.true_eu))),
         )
     if args.hist_csv:
         _write_histogram(args.hist_csv, row_entropy(result.p_star), args.hist_bins)
@@ -463,22 +454,18 @@ def cmd_simulate(args) -> int:
 def cmd_metrics(args) -> int:
     if args.hist_bins < 1:
         raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
-    deltas = _parse_float_list(args.deltas, "--deltas")
-    records = []
-    for lineno, obj in _read_jsonl_with_warnings(args.records):
-        try:
-            records.append(formats.parse_eval_record(obj))
-        except (ValidationError, ValueError, TypeError) as exc:
-            _warn(f"{args.records}:{lineno}: skipped: {exc}")
-    if not records:
+    deltas = _parse_deltas(args.deltas)
+    true_eu, columns, errors = formats.read_eval_columns(args.records)
+    for lineno, message in errors:
+        _warn(f"{args.records}:{lineno}: skipped: {message}")
+    if not true_eu:
         raise ValidationError("no usable eval records")
-    columns = score_columns(records)
     fieldnames, rows, n_values = _metric_rows(columns, deltas)
     if n_values == 0:
         raise DegenerateInputError("no metric is defined on these records")
     formats.write_csv(args.metrics_out, fieldnames, rows)
     if args.hist_out:
-        _write_histogram(args.hist_out, [r.true_eu for r in records], args.hist_bins)
+        _write_histogram(args.hist_out, true_eu, args.hist_bins)
     print(f"wrote metrics for {len(columns)} estimators to {args.metrics_out}")
     return 0
 

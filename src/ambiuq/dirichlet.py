@@ -33,9 +33,8 @@ _PSI_COEFFS = (
 )
 _PSI_SHIFT = 10.0
 
-# Monte Carlo draws are generated in fixed-size blocks with independent
-# child seeds, so a parallel consumer partitioning blocks across workers
-# reproduces the single-threaded stream exactly.
+# Monte Carlo draws are generated in fixed-size blocks, each from its own
+# child seed of the caller's seed.
 _MC_BLOCK = 1 << 14
 
 

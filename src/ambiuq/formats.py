@@ -11,16 +11,17 @@ import json
 from contextlib import contextmanager
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .corpus import GroundTruthRecord, QuestionSpec
 from .dist import Categorical
 from .errors import ValidationError
 from .estimators import AnswerSample, AnswerSampleSet
-from .metrics import EvalRecord
+from .metrics import EvalRecord, score_columns
 
 
-def read_jsonl(path):
-    """Parse a JSONL file into ([(lineno, obj), ...], [(lineno, error), ...])."""
-    records, errors = [], []
+def _iter_jsonl(path, errors: list):
+    """Yield (lineno, obj) per JSON object; other lines go to ``errors``."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -34,8 +35,13 @@ def read_jsonl(path):
             if not isinstance(obj, dict):
                 errors.append((lineno, "expected a JSON object"))
                 continue
-            records.append((lineno, obj))
-    return records, errors
+            yield lineno, obj
+
+
+def read_jsonl(path):
+    """Parse a JSONL file into ([(lineno, obj), ...], [(lineno, error), ...])."""
+    errors: list = []
+    return list(_iter_jsonl(path, errors)), errors
 
 
 def write_jsonl(path, objs: Iterable[dict]) -> None:
@@ -44,12 +50,12 @@ def write_jsonl(path, objs: Iterable[dict]) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def write_csv(path, fieldnames, rows: Iterable[dict]) -> None:
+def write_csv(path, fieldnames, rows: Iterable) -> None:
+    """A header row, then one row per sequence of values in field order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows(rows)
 
 
 def _require(obj: dict, key: str, context: str):
@@ -164,6 +170,23 @@ def eval_record_to_dict(record: EvalRecord) -> dict:
     }
 
 
+def _json_floats(values) -> list:
+    """Items whose str() is json.dumps of each value: floats if all are finite."""
+    values = np.asarray(values, dtype=float)
+    return values.tolist() if np.isfinite(values).all() else [json.dumps(v) for v in values]
+
+
+def write_eval_columns(path, question_ids, true_eu, scores: dict) -> None:
+    """write_jsonl(eval_record_to_dict(r) ...)'s bytes, from one column per field."""
+    names = sorted(scores)
+    fields = ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in names)
+    template = '{"question_id": %s, "scores": {' + fields + '}, "true_eu": %s}\n'
+    columns = [[json.dumps(qid) for qid in question_ids],
+               *(_json_floats(scores[name]) for name in names), _json_floats(true_eu)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(template % row for row in zip(*columns))
+
+
 def parse_eval_record(obj: dict) -> EvalRecord:
     qid = str(_require(obj, "question_id", "eval record"))
     scores = _require(obj, "scores", f"eval record {qid}")
@@ -175,3 +198,23 @@ def parse_eval_record(obj: dict) -> EvalRecord:
             true_eu=float(_require(obj, "true_eu", f"eval record {qid}")),
             scores={str(k): float(v) for k, v in scores.items()},
         )
+
+
+def read_eval_columns(path) -> tuple:
+    """Stream an eval-record JSONL file into (true_eu, score_columns, errors),
+    keeping no record past its line; the (lineno, message) errors list JSON
+    errors first, then record errors, each in line order."""
+    errors, record_errors, true_eu = [], [], []
+
+    def records():
+        for lineno, obj in _iter_jsonl(path, errors):
+            try:
+                record = parse_eval_record(obj)
+            except (ValidationError, ValueError, TypeError) as exc:
+                record_errors.append((lineno, str(exc)))
+                continue
+            true_eu.append(record.true_eu)
+            yield record
+
+    columns = score_columns(records())
+    return true_eu, columns, errors + record_errors

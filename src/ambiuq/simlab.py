@@ -148,12 +148,23 @@ def sample_model(
 @dataclass(frozen=True)
 class ExperimentResult:
     config: SimConfig
-    records: list
+    true_eu: np.ndarray
     report: dict
     p_star: np.ndarray
     p_model: np.ndarray
     scores: dict
     counts: Optional[np.ndarray] = None
+
+    @property
+    def question_ids(self) -> list:
+        return [f"q{i:06d}" for i in range(self.config.n)]
+
+    @property
+    def records(self) -> list:
+        """One EvalRecord per row, built from the arrays on each access."""
+        rows = zip(*(vals.tolist() for vals in self.scores.values()))
+        scores = [dict(zip(self.scores, row)) for row in rows]
+        return list(map(EvalRecord, self.question_ids, self.true_eu.tolist(), scores))
 
     def gamma_ablation(self, gammas=DEFAULT_GAMMAS, include_point: bool = True):
         if self.counts is None:
@@ -210,7 +221,7 @@ def _verify_thm2(delta: float, se: np.ndarray, eu: np.ndarray) -> dict:
 def run_experiment(config: SimConfig) -> ExperimentResult:
     """Draw a population, score estimators, and verify the bounds.
 
-    Returns records (one per draw, with true EU and estimator scores) plus a
+    Returns the true EU and estimator scores of each draw as arrays, plus a
     report with per-threshold verification results and concordances. With
     ensemble_size >= 2 the prediction is the mean of that many independent
     model draws and the MI estimator is scored against EU = KL(p*||p_mean).
@@ -219,11 +230,11 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     p_star = _sample_truths(config, rng, config.n)
     m = config.ensemble_size
     if m >= 2:
-        members = np.stack(
-            [_sample_models(p_star, config.noise, rng) for _ in range(m)]
-        )
-        p_model = members.mean(axis=0)
-        mi = row_kl(members, p_model[None, :, :]).mean(axis=0)
+        members = [_sample_models(p_star, config.noise, rng) for _ in range(m)]
+        # adding the members one by one gives the floats of
+        # np.stack(members).mean(axis=0) without an (m, n, k) array
+        p_model = sum(members[1:], members[0]) / m
+        mi = np.stack([row_kl(member, p_model) for member in members]).mean(axis=0)
     else:
         p_model = _sample_models(p_star, config.noise, rng)
         mi = None
@@ -240,15 +251,6 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     counts = None
     if config.counts_total > 0:
         counts = rng.multinomial(config.counts_total, p_star)
-
-    records = [
-        EvalRecord(
-            question_id=f"q{i:06d}",
-            true_eu=float(eu[i]),
-            scores={name: float(vals[i]) for name, vals in scores.items()},
-        )
-        for i in range(config.n)
-    ]
 
     report: dict = {
         "config": {
@@ -283,7 +285,7 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
 
     return ExperimentResult(
         config=config,
-        records=records,
+        true_eu=eu,
         report=report,
         p_star=p_star,
         p_model=p_model,
@@ -313,18 +315,13 @@ def support_groups(counts, p_model) -> list:
     ]
 
 
-def gamma_ablation(
-    counts, p_model, scores: dict, gammas=DEFAULT_GAMMAS, include_point: bool = True
-):
-    """Concordance of each estimator against the Dirichlet expected EU, per
-    scaling factor gamma; the "point" row uses KL(normalize(counts)||p).
-
-    One batched call per (gamma, support size), see :func:`support_groups`.
-    Returns rows {"gamma", "estimator", "concordance"} in grid order.
-    """
+def ablation_truths(counts, p_model, gammas=DEFAULT_GAMMAS, include_point: bool = True):
+    """[(label, truth)]: the Dirichlet expected EU per gamma, then "point",
+    KL(normalize(counts)||p). One batched call per (gamma, support size), see
+    :func:`support_groups`; a row's truth depends on that row alone."""
     batches = support_groups(counts, p_model)
-
-    def truth_for(label) -> np.ndarray:
+    out = []
+    for label in [*gammas, "point"] if include_point else gammas:
         truth = np.empty(len(counts))
         for idx, c, p in batches:
             if label == "point":
@@ -332,13 +329,17 @@ def gamma_ablation(
             else:
                 truth[idx] = expected_epistemic(posterior(c, label), p)
         # KL >= 0 mathematically; clamp away float rounding at the zero boundary
-        return np.maximum(truth, 0.0)
-
-    out = []
-    for label in [*gammas, "point"] if include_point else gammas:
-        truth = truth_for(label)
-        out.extend(
-            {"gamma": label, "estimator": name, "concordance": concordance(truth, vals)}
-            for name, vals in scores.items()
-        )
+        out.append((label, np.maximum(truth, 0.0)))
     return out
+
+
+def gamma_ablation(
+    counts, p_model, scores: dict, gammas=DEFAULT_GAMMAS, include_point: bool = True
+):
+    """Concordance of each estimator against each of :func:`ablation_truths`:
+    rows {"gamma", "estimator", "concordance"} in grid order."""
+    return [
+        {"gamma": label, "estimator": name, "concordance": concordance(truth, vals)}
+        for label, truth in ablation_truths(counts, p_model, gammas, include_point)
+        for name, vals in scores.items()
+    ]

@@ -473,6 +473,81 @@ class TestEval:
         assert "--dirichlet-gamma" in capsys.readouterr().err
         assert not records.exists()
 
+    @pytest.mark.parametrize("deltas", ["nan", "inf", "-1", "0", "0.5,nan"])
+    def test_bad_deltas_rejected_before_writing(
+        self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions, deltas, capsys
+    ):
+        gt, _ = build_gt(tmp_path, fixture_corpus, fixture_specs)
+        code, records, metrics = self.run_eval(
+            tmp_path, gt, fixture_predictions, "--deltas", deltas, tag="deltas"
+        )
+        assert code == 2
+        assert "--deltas values must be finite and > 0" in capsys.readouterr().err
+        assert not records.exists() and not metrics.exists()
+
+    def test_gamma_grid_one_truth_per_gamma(self, tmp_path, monkeypatch, capsys):
+        from ambiuq import simlab
+        from ambiuq.dirichlet import expected_epistemic
+        from ambiuq.metrics import concordance
+
+        # ten questions on supports of two and three answers; MSP on the
+        # first seven, an ensemble (MI) on one question only
+        rng = np.random.default_rng(9)
+        gt_rows, pred_rows = [], []
+        for i in range(10):
+            answers = ["a", "b", "c"][: 2 + i % 2]
+            counts = [int(c) for c in rng.integers(1, 40, size=len(answers))]
+            gt_rows.append({
+                "question_id": f"q{i}", "answers": answers, "counts": counts,
+                "discarded": False,
+                "p_star": {"classes": answers, "probs": [c / sum(counts) for c in counts]},
+            })
+            probs = rng.dirichlet(np.ones(len(answers)))
+            pred = {"question_id": f"q{i}",
+                    "samples": [{"text": a, "seq_prob": float(p)}
+                                for a, p in zip(answers, probs)]}
+            if i < 7:
+                pred["best_answer_prob"] = float(rng.uniform(0.2, 0.9))
+            if i == 0:
+                pred["ensemble"] = [{"classes": answers, "probs": probs.tolist()},
+                                    {"classes": answers, "probs": probs[::-1].tolist()}]
+            pred_rows.append(pred)
+        gt, preds = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl"
+        write_jsonl(gt, gt_rows)
+        write_jsonl(preds, pred_rows)
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expected_epistemic(*args)
+
+        monkeypatch.setattr(simlab, "expected_epistemic", counted)
+        gammas = ["1", "2", "7.5"]
+        ablation = tmp_path / "ablation.csv"
+        code, _, _ = self.run_eval(tmp_path, gt, preds, "--dirichlet-gamma",
+                                   ",".join(gammas), "--ablation-out", str(ablation))
+        assert code == 0
+        assert len(calls) == len(gammas) * 2  # one per (gamma, support size)
+        assert capsys.readouterr().err.count("gamma ablation[MI]: concordance undefined") == 1
+        got = {(r["gamma"], r["estimator"]): r["concordance"] for r in read_csv(ablation)}
+        assert {name for _, name in got} == {"MSP", "SE"}
+        assert len(got) == 2 * (len(gammas) + 1)
+
+        # each gamma's row is the concordance of the single-gamma truth over
+        # the records that carry the estimator
+        monkeypatch.undo()
+        for gamma in gammas:
+            code, records, _ = self.run_eval(tmp_path, gt, preds,
+                                             "--dirichlet-gamma", gamma, tag=f"g{gamma}")
+            assert code == 0
+            rows = read_jsonl(records)
+            for name in ("MSP", "SE"):
+                carried = [r for r in rows if name in r["scores"]]
+                value = concordance([r["true_eu"] for r in carried],
+                                    [r["scores"][name] for r in carried])
+                assert got[str(float(gamma)), name] == f"{value:.6f}"
+
     def test_identical_predictions_degenerate_exit(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
         write_jsonl(
@@ -815,3 +890,15 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert f"{records}:2: skipped" in err and f"{records}:3: skipped" in err
         assert not metrics.exists() or "nan" not in metrics.read_text().casefold()
+
+    @pytest.mark.parametrize("deltas", ["nan", "inf", "-1", "0", "0.5,nan"])
+    def test_bad_deltas_rejected_before_writing(self, tmp_path, deltas, capsys):
+        records = tmp_path / "records.jsonl"
+        write_jsonl(records, [{"question_id": f"q{i}", "true_eu": 0.1 * i,
+                               "scores": {"SE": 0.2 * i}} for i in range(5)])
+        metrics, hist = tmp_path / "m.csv", tmp_path / "h.csv"
+        code = main(["metrics", "--records", str(records), "--metrics-out", str(metrics),
+                     "--hist-out", str(hist), "--deltas", deltas])
+        assert code == 2
+        assert "--deltas values must be finite and > 0" in capsys.readouterr().err
+        assert not metrics.exists() and not hist.exists()
