@@ -52,11 +52,12 @@ def _warn(msg: str) -> None:
     print(f"ambiuq: {msg}", file=sys.stderr)
 
 
-def _read_jsonl_with_warnings(path):
-    records, errors = formats.read_jsonl(path)
+def _read(path, parse) -> list:
+    """The parsed items of a JSONL file, after one warning per skipped line."""
+    items, errors = formats.read_jsonl(path, parse)
     for lineno, message in errors:
         _warn(f"{path}:{lineno}: skipped: {message}")
-    return records
+    return [item for _, item in items]
 
 
 def _parse_float_list(text: str, flag: str, rule: str, ok):
@@ -150,35 +151,24 @@ class FileFilter:
     """Entailment filter from a pre-computed decision file.
 
     Rows: {"question", "answer", "chunk_id", "accept": bool}. Chunks with no
-    recorded decision are accepted (the file only refines, never widens).
+    recorded decision are accepted (the file only refines, never widens), so a
+    bad row is an error naming its line.
     """
 
     def __init__(self, path: str):
-        self.decisions = {}
-        for lineno, obj in _read_jsonl_with_warnings(path):
-            try:
-                key = (str(obj["question"]), str(obj["answer"]), str(obj["chunk_id"]))
-                self.decisions[key] = bool(obj["accept"])
-            except KeyError as exc:
-                _warn(f"{path}:{lineno}: skipped: missing field {exc}")
+        items, errors = formats.read_jsonl(path, formats.parse_filter_decision)
+        if errors:
+            lineno, message = min(errors)
+            raise ValidationError(f"{path}:{lineno}: {message}")
+        self.decisions = dict(item for _, item in items)
 
     def __call__(self, chunk, question: str, answer: str) -> bool:
         return self.decisions.get((question, answer, chunk.chunk_id), True)
 
 
 def cmd_build_gt(args) -> int:
-    docs = []
-    for lineno, obj in _read_jsonl_with_warnings(args.corpus):
-        try:
-            docs.append(formats.parse_corpus_doc(obj))
-        except (ValidationError, ValueError, TypeError) as exc:
-            _warn(f"{args.corpus}:{lineno}: skipped document: {exc}")
-    specs = []
-    for lineno, obj in _read_jsonl_with_warnings(args.specs):
-        try:
-            specs.append(formats.parse_question_spec(obj))
-        except (ValidationError, ValueError, TypeError) as exc:
-            _warn(f"{args.specs}:{lineno}: skipped spec: {exc}")
+    docs = _read(args.corpus, formats.parse_corpus_doc)
+    specs = _read(args.specs, formats.parse_question_spec)
     if not specs:
         _warn("specs file contains no usable question specs; writing empty dataset")
 
@@ -260,34 +250,17 @@ def cmd_eval(args) -> int:
     gammas = _parse_gammas(args.dirichlet_gamma, "--dirichlet-gamma") \
         if args.dirichlet_gamma else ()
 
-    mapping = None
-    if args.equivalence:
-        with open(args.equivalence, "r", encoding="utf-8") as fh:
-            mapping = json.load(fh)
-        if not isinstance(mapping, dict):
-            raise ValidationError("--equivalence must contain a JSON object")
-    eq = EquivalenceMap(mapping)
+    eq = EquivalenceMap(formats.read_json_object(args.equivalence, "--equivalence")
+                        if args.equivalence else None)
 
     gt_records = {}
-    for lineno, obj in _read_jsonl_with_warnings(args.ground_truth):
-        try:
-            record = formats.parse_ground_truth(obj)
-        except (ValidationError, ValueError, TypeError) as exc:
-            _warn(f"{args.ground_truth}:{lineno}: skipped: {exc}")
-            continue
+    for record in _read(args.ground_truth, formats.parse_ground_truth):
         if record.discarded:
             _warn(f"{record.question_id}: ground truth is discarded; skipped")
             continue
         gt_records[record.question_id] = record
-
-    predictions = {}
-    for lineno, obj in _read_jsonl_with_warnings(args.predictions):
-        try:
-            pred = formats.parse_prediction(obj)
-        except (ValidationError, ValueError, TypeError) as exc:
-            _warn(f"{args.predictions}:{lineno}: skipped: {exc}")
-            continue
-        predictions[pred.question_id] = pred
+    predictions = {pred.question_id: pred
+                   for pred in _read(args.predictions, formats.parse_prediction)}
 
     matched = sorted(set(gt_records) & set(predictions))
     for qid in sorted(set(gt_records) - set(predictions)):
@@ -420,10 +393,7 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     if args.hist_bins < 1:
         raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValidationError("--config must contain a JSON object")
+    raw = formats.read_json_object(args.config, "--config")
     if args.seed is not None:
         raw["seed"] = args.seed
     config = simlab.SimConfig.from_dict(raw)
@@ -546,9 +516,6 @@ def main(argv=None) -> int:
         return 3
     except UQError as exc:
         _warn(f"error: {exc}")
-        return 2
-    except json.JSONDecodeError as exc:
-        _warn(f"invalid JSON: {exc}")
         return 2
     except OSError as exc:
         _warn(f"I/O error: {exc}")

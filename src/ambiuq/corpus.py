@@ -196,11 +196,13 @@ def cooccurrence_count(
 ) -> int:
     """Number of chunks containing all stemmed keyword and answer terms.
 
-    Matches are truncated at ``cap`` in corpus order before the optional
+    Matches are truncated at ``cap`` (>= 1) in corpus order before the optional
     entailment filter is applied; zero is a valid count.
     """
     if not answer or not keywords:
         raise ValidationError("keywords and answer must be non-empty")
+    if not cap >= 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
     count, _ = _count_detail(index, keywords, answer, cap, accept, question)
     return count
 
@@ -237,6 +239,8 @@ def build_ground_truth(
     Specs are counted in order, so ``accept`` sees kept chunks in corpus
     order, one call at a time.
     """
+    if not cap >= 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
     records = [_spec_record(index, s, cap, accept) for s in specs]
     return sorted(records, key=lambda r: r.question_id)
 

@@ -82,8 +82,13 @@ class Categorical:
     @classmethod
     def from_dict(cls, obj: dict) -> "Categorical":
         try:
-            return cls(tuple(obj["classes"]), obj["probs"])
-        except (KeyError, TypeError) as exc:
+            classes, probs = obj["classes"], obj["probs"]
+            if not (isinstance(classes, list) and isinstance(probs, list)):
+                raise TypeError("classes and probs must be lists")
+            if any(isinstance(p, bool) for p in probs):
+                raise TypeError("JSON true/false are not probabilities")
+            return cls(tuple(classes), probs)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad categorical object: {exc}") from exc
 
 

@@ -46,6 +46,8 @@ class EquivalenceMap:
     def __init__(self, mapping: Optional[dict] = None):
         self._mapping = {}
         for key, value in (mapping or {}).items():
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise ValidationError(f"equivalence mapping needs strings, got {key!r}: {value!r}")
             self._mapping[_normalize_text(key)] = _normalize_text(value)
 
     def canonical(self, s: str) -> str:

@@ -1,14 +1,13 @@
 """JSONL / CSV readers and writers for the pipeline's file schemas.
 
-Bad JSONL lines are collected with their line numbers instead of aborting
-the batch; callers decide whether to warn or fail.
+Every input file is read, coerced and rejected here. Bad JSONL lines are
+collected with their line numbers; callers decide whether to warn or fail.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
 from typing import Iterable, Optional
 
 import numpy as np
@@ -20,28 +19,50 @@ from .estimators import AnswerSample, AnswerSampleSet
 from .metrics import EvalRecord, score_columns
 
 
-def _iter_jsonl(path, errors: list):
-    """Yield (lineno, obj) per JSON object; other lines go to ``errors``."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _iter_jsonl(path, errors: list, parse):
+    """Yield (lineno, parse(obj)) per JSON-object line. Every other line goes
+    to ``errors`` as (lineno, message) once the file is read: JSON errors
+    first, then the ValidationErrors of ``parse``, each in line order."""
+    json_errors, record_errors = [], []
+    # undecodable bytes become lone surrogates, which valid UTF-8 never yields
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line = line.encode("utf-8", "surrogateescape").decode("utf-8")
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append((lineno, f"invalid JSON: {exc}"))
+            except (ValueError, RecursionError) as exc:
+                json_errors.append((lineno, f"invalid JSON: {exc}"))
                 continue
             if not isinstance(obj, dict):
-                errors.append((lineno, "expected a JSON object"))
+                json_errors.append((lineno, "expected a JSON object"))
                 continue
-            yield lineno, obj
+            try:
+                yield lineno, parse(obj)
+            except ValidationError as exc:
+                record_errors.append((lineno, str(exc)))
+    errors += json_errors + record_errors
 
 
-def read_jsonl(path):
-    """Parse a JSONL file into ([(lineno, obj), ...], [(lineno, error), ...])."""
+def read_jsonl(path, parse):
+    """Parse a JSONL file into ([(lineno, item), ...], [(lineno, error), ...])."""
     errors: list = []
-    return list(_iter_jsonl(path, errors)), errors
+    return list(_iter_jsonl(path, errors, parse)), errors
+
+
+def read_json_object(path, flag: str) -> dict:
+    """The JSON object a whole file holds; anything else names ``flag``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.loads(fh.read())
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+            raise ValidationError(f"{flag}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{flag} must contain a JSON object")
+    return obj
 
 
 def write_jsonl(path, objs: Iterable[dict]) -> None:
@@ -64,32 +85,56 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _list(obj: dict, key: str, context: str) -> list:
+    value = _require(obj, key, context)
+    if not isinstance(value, list):
+        raise ValidationError(f"{context}: {key} must be a list")
+    return value
+
+
+def _bool(value, key: str, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{context}: {key} must be true or false, got {value!r}")
+    return value
+
+
+def _number(value, context: str, count: bool = False):
+    """float(value), or with ``count`` an int >= 0; JSON true/false are not numbers."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError(f"expected a number, got {json.dumps(value)}")
+        number = float(value)
+        if count and not (number >= 0 and number.is_integer()):
+            raise ValueError(f"expected a count (an integer >= 0), got {value!r}")
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"{context}: {exc}") from exc
+    if not count:
+        return number
+    return value if isinstance(value, int) else int(number)  # an int stays exact past 2**53
+
+
+def _counts(obj: dict, key: str, context: str) -> tuple:
+    return tuple(_number(c, context, count=True) for c in _list(obj, key, context))
+
+
 def parse_corpus_doc(obj: dict) -> tuple:
     doc_id = str(_require(obj, "doc_id", "corpus document"))
-    sections = _require(obj, "sections", f"document {doc_id}")
-    if not isinstance(sections, list):
-        raise ValidationError(f"document {doc_id}: sections must be a list")
-    return doc_id, [str(s) for s in sections]
-
-
-@contextmanager
-def _with_context(context: str):
-    """Re-raise stray coercion errors as ValidationError naming the record."""
-    try:
-        yield
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{context}: {exc}") from exc
+    return doc_id, [str(s) for s in _list(obj, "sections", f"document {doc_id}")]
 
 
 def parse_question_spec(obj: dict) -> QuestionSpec:
     qid = str(_require(obj, "question_id", "question spec"))
-    with _with_context(f"spec {qid}"):
-        return QuestionSpec(
-            question_id=qid,
-            question=str(obj.get("question", "")),
-            keywords=tuple(str(k) for k in _require(obj, "keywords", f"spec {qid}")),
-            answers=tuple(str(a) for a in _require(obj, "answers", f"spec {qid}")),
-        )
+    context = f"spec {qid}"
+    return QuestionSpec(qid, str(obj.get("question", "")),
+                        tuple(str(k) for k in _list(obj, "keywords", context)),
+                        tuple(str(a) for a in _list(obj, "answers", context)))
+
+
+def parse_filter_decision(obj: dict) -> tuple:
+    """((question, answer, chunk_id), accept) from one --filter-file row."""
+    context = "filter decision"
+    key = tuple(str(_require(obj, k, context)) for k in ("question", "answer", "chunk_id"))
+    return key, _bool(_require(obj, "accept", context), "accept", context)
 
 
 def ground_truth_to_dict(record: GroundTruthRecord) -> dict:
@@ -109,57 +154,42 @@ def ground_truth_to_dict(record: GroundTruthRecord) -> dict:
 
 def parse_ground_truth(obj: dict) -> GroundTruthRecord:
     qid = str(_require(obj, "question_id", "ground-truth record"))
-    with _with_context(f"record {qid}"):
-        answers = tuple(str(a) for a in _require(obj, "answers", f"record {qid}"))
-        counts = tuple(int(c) for c in _require(obj, "counts", f"record {qid}"))
-        discarded = bool(obj.get("discarded", False))
-        p_star = None
-        if not discarded:
-            p_star = Categorical.from_dict(_require(obj, "p_star", f"record {qid}"))
-            if p_star.classes != answers:
-                raise ValidationError(f"record {qid}: p_star classes differ from answers")
-        return GroundTruthRecord(
-            question_id=qid,
-            answers=answers,
-            counts=counts,
-            p_star=p_star,
-            discarded=discarded,
-            reason=obj.get("reason"),
-            raw_matches=tuple(int(c) for c in obj.get("raw_matches", counts)),
-        )
+    context = f"record {qid}"
+    answers = tuple(str(a) for a in _list(obj, "answers", context))
+    counts = _counts(obj, "counts", context)
+    discarded = _bool(obj.get("discarded", False), "discarded", context)
+    p_star = None
+    if not discarded:
+        if len(counts) != len(answers):
+            raise ValidationError(f"{context}: {len(counts)} counts for {len(answers)} answers")
+        p_star = Categorical.from_dict(_require(obj, "p_star", context))
+        if p_star.classes != answers:
+            raise ValidationError(f"{context}: p_star classes differ from answers")
+    raw = _counts(obj, "raw_matches", context) if "raw_matches" in obj else counts
+    return GroundTruthRecord(qid, answers, counts, p_star, discarded, obj.get("reason"), raw)
 
 
 def parse_prediction(obj: dict) -> AnswerSampleSet:
     qid = str(_require(obj, "question_id", "prediction record"))
-    raw_samples = _require(obj, "samples", f"prediction {qid}")
+    context = f"prediction {qid}"
+    raw_samples = _require(obj, "samples", context)
     if not isinstance(raw_samples, list) or not raw_samples:
-        raise ValidationError(f"prediction {qid}: samples must be a non-empty list")
+        raise ValidationError(f"{context}: samples must be a non-empty list")
     if not all(isinstance(s, dict) for s in raw_samples):
-        raise ValidationError(f"prediction {qid}: samples must be objects")
-    with _with_context(f"prediction {qid}"):
-        samples = tuple(
-            AnswerSample(
-                text=str(_require(s, "text", f"prediction {qid} sample")),
-                seq_prob=float(_require(s, "seq_prob", f"prediction {qid} sample")),
-                cluster=None if s.get("cluster") is None else str(s["cluster"]),
-            )
-            for s in raw_samples
-        )
-        ensemble = obj.get("ensemble")
-        members: Optional[tuple] = None
-        if ensemble is not None:
-            if not isinstance(ensemble, list) or not ensemble:
-                raise ValidationError(
-                    f"prediction {qid}: ensemble must be a non-empty list"
-                )
-            members = tuple(Categorical.from_dict(m) for m in ensemble)
-        best = obj.get("best_answer_prob")
-        return AnswerSampleSet(
-            question_id=qid,
-            samples=samples,
-            best_answer_prob=None if best is None else float(best),
-            ensemble=members,
-        )
+        raise ValidationError(f"{context}: samples must be objects")
+    sample = f"{context} sample"
+    samples = tuple(AnswerSample(str(_require(s, "text", sample)),
+                                 _number(_require(s, "seq_prob", sample), context),
+                                 None if s.get("cluster") is None else str(s["cluster"]))
+                    for s in raw_samples)
+    ensemble = obj.get("ensemble")
+    members: Optional[tuple] = None
+    if ensemble is not None:
+        if not isinstance(ensemble, list) or not ensemble:
+            raise ValidationError(f"{context}: ensemble must be a non-empty list")
+        members = tuple(Categorical.from_dict(m) for m in ensemble)
+    best = obj.get("best_answer_prob")
+    return AnswerSampleSet(qid, samples, None if best is None else _number(best, context), members)
 
 
 def eval_record_to_dict(record: EvalRecord) -> dict:
@@ -189,32 +219,24 @@ def write_eval_columns(path, question_ids, true_eu, scores: dict) -> None:
 
 def parse_eval_record(obj: dict) -> EvalRecord:
     qid = str(_require(obj, "question_id", "eval record"))
-    scores = _require(obj, "scores", f"eval record {qid}")
+    context = f"eval record {qid}"
+    scores = _require(obj, "scores", context)
     if not isinstance(scores, dict):
-        raise ValidationError(f"eval record {qid}: scores must be an object")
-    with _with_context(f"eval record {qid}"):
-        return EvalRecord(
-            question_id=qid,
-            true_eu=float(_require(obj, "true_eu", f"eval record {qid}")),
-            scores={str(k): float(v) for k, v in scores.items()},
-        )
+        raise ValidationError(f"{context}: scores must be an object")
+    return EvalRecord(qid, _number(_require(obj, "true_eu", context), context),
+                      {str(k): _number(v, context) for k, v in scores.items()})
 
 
 def read_eval_columns(path) -> tuple:
     """Stream an eval-record JSONL file into (true_eu, score_columns, errors),
-    keeping no record past its line; the (lineno, message) errors list JSON
-    errors first, then record errors, each in line order."""
-    errors, record_errors, true_eu = [], [], []
+    keeping no record past its line; the (lineno, message) errors are ordered
+    as _iter_jsonl orders them."""
+    errors, true_eu = [], []
 
     def records():
-        for lineno, obj in _iter_jsonl(path, errors):
-            try:
-                record = parse_eval_record(obj)
-            except (ValidationError, ValueError, TypeError) as exc:
-                record_errors.append((lineno, str(exc)))
-                continue
+        for _, record in _iter_jsonl(path, errors, parse_eval_record):
             true_eu.append(record.true_eu)
             yield record
 
     columns = score_columns(records())
-    return true_eu, columns, errors + record_errors
+    return true_eu, columns, errors

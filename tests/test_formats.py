@@ -130,7 +130,7 @@ def test_csv_rows_match_dict_writer(tmp_path):
 class TestReadEvalColumns:
     def reference(self, path):
         """read_jsonl, then parse_eval_record on each object."""
-        objs, errors = read_jsonl(path)
+        objs, errors = read_jsonl(path, dict)
         records = []
         for lineno, obj in objs:
             try:
@@ -165,7 +165,10 @@ def reference_metrics(records, metrics_out, hist_out, deltas) -> int:
     parse_eval_record on each object and score_columns over the records."""
     try:
         parsed = []
-        for lineno, obj in cli._read_jsonl_with_warnings(records):
+        objs, errors = read_jsonl(records, dict)
+        for lineno, message in errors:
+            cli._warn(f"{records}:{lineno}: skipped: {message}")
+        for lineno, obj in objs:
             try:
                 parsed.append(parse_eval_record(obj))
             except (ValidationError, ValueError, TypeError) as exc:

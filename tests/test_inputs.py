@@ -1,0 +1,356 @@
+"""Input contracts at the parse boundary: every line a CLI command reads is
+either parsed as written or rejected with a warning or a documented exit
+code, never coerced into a different value or left to end in a traceback."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ambiuq import cli, formats
+from ambiuq.corpus import build_ground_truth, build_index, chunk_corpus, cooccurrence_count
+from ambiuq.errors import ValidationError
+from ambiuq.estimators import EquivalenceMap
+
+from test_cli import fixture_corpus, fixture_specs, read_jsonl, write_jsonl  # noqa: F401
+
+# the four lines that each ended in a traceback: OverflowError, json's digit
+# limit, bytes that are not UTF-8, and RecursionError
+TRACEBACK_LINES = {
+    "400-digit": b'{"question_id": "x", "true_eu": ' + b"1" * 400 + b', "scores": {"SE": 0.1}}',
+    "5000-digit": b'{"question_id": "x", "true_eu": ' + b"1" * 5000 + b', "scores": {"SE": 0.1}}',
+    "not-utf8": b"\xff\xfe",
+    "deep": b"[" * 100_000,
+}
+
+GOOD_RECORDS = [
+    {"question_id": "a", "true_eu": 0.5, "scores": {"SE": 0.1}},
+    {"question_id": "b", "true_eu": 0.9, "scores": {"SE": 0.8}},
+]
+
+
+def run(argv):
+    """(exit code, stderr) of cli.main, with stdout and stderr captured. It runs
+    in this process, so an exception that escapes main fails the calling test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+class TestTracebackLines:
+    @pytest.mark.parametrize("name", sorted(TRACEBACK_LINES))
+    def test_jsonl_line_is_skipped_with_its_location(self, tmp_path, name):
+        records = tmp_path / "records.jsonl"
+        good = b"".join(json.dumps(r).encode() + b"\n" for r in GOOD_RECORDS)
+        records.write_bytes(good + TRACEBACK_LINES[name] + b"\n")
+        code, err = run(["metrics", "--records", records,
+                         "--metrics-out", tmp_path / "m.csv", "--deltas", "0.7"])
+        assert code == 0
+        assert f"{records}:3: skipped:" in err
+
+    @pytest.mark.parametrize("name", ["5000-digit", "not-utf8", "deep"])
+    def test_config_file_is_exit_2(self, tmp_path, name):
+        config = tmp_path / "sim.json"
+        config.write_bytes(TRACEBACK_LINES[name])
+        code, err = run(["simulate", "--config", config, "--out", tmp_path / "o.jsonl",
+                         "--report", tmp_path / "r.json"])
+        assert code == 2
+        assert "error: --config: invalid JSON:" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @staticmethod
+    def run_equivalence(tmp_path, content: bytes):
+        """eval with ``content`` as --equivalence, which is read before any other input."""
+        equivalence = tmp_path / "eq.json"
+        equivalence.write_bytes(content)
+        return run(["eval", "--ground-truth", equivalence, "--predictions", equivalence,
+                    "--records-out", tmp_path / "r.jsonl", "--metrics-out", tmp_path / "m.csv",
+                    "--equivalence", equivalence])
+
+    @pytest.mark.parametrize("name", sorted(TRACEBACK_LINES))
+    def test_equivalence_file_is_exit_2(self, tmp_path, name):
+        code, err = self.run_equivalence(tmp_path, TRACEBACK_LINES[name])
+        assert code == 2
+        assert "equivalence" in err
+
+    @pytest.mark.parametrize("value", [1, None, ["heat"], {"a": "b"}, True])
+    def test_equivalence_value_must_be_a_string(self, tmp_path, value):
+        code, err = self.run_equivalence(tmp_path, json.dumps({"It's Heat": value}).encode())
+        assert code == 2
+        assert "equivalence mapping needs strings" in err
+        with pytest.raises(ValidationError):
+            EquivalenceMap({"It's Heat": value})
+
+
+SPEC = {"question_id": "q", "question": "?", "keywords": ["fire"], "answers": ["heat", "fuel"]}
+GT = {
+    "question_id": "q", "answers": ["heat", "fuel"], "counts": [2, 1], "raw_matches": [2, 1],
+    "discarded": False, "p_star": {"classes": ["heat", "fuel"], "probs": [2 / 3, 1 / 3]},
+}
+PRED = {
+    "question_id": "q", "samples": [{"text": "heat", "seq_prob": 0.5}],
+    "best_answer_prob": 0.5, "ensemble": [{"classes": ["heat", "fuel"], "probs": [0.5, 0.5]}],
+}
+EVAL = {"question_id": "q", "true_eu": 0.5, "scores": {"SE": 0.1}}
+DOC = {"doc_id": "d", "sections": ["the fire needs heat"]}
+PARSERS = {
+    "spec": (formats.parse_question_spec, SPEC),
+    "gt": (formats.parse_ground_truth, GT),
+    "pred": (formats.parse_prediction, PRED),
+    "eval": (formats.parse_eval_record, EVAL),
+    "doc": (formats.parse_corpus_doc, DOC),
+    "filter": (formats.parse_filter_decision,
+               {"question": "?", "answer": "heat", "chunk_id": "d:0", "accept": False}),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [
+        ("spec", "keywords", "fire", "keywords must be a list"),
+        ("spec", "answers", "heat", "answers must be a list"),
+        ("doc", "sections", "text", "sections must be a list"),
+        ("gt", "answers", "ab", "answers must be a list"),
+        ("gt", "counts", "21", "counts must be a list"),
+        ("gt", "raw_matches", {"heat": 2}, "raw_matches must be a list"),
+        ("gt", "counts", [2.7, 1], "expected a count"),
+        ("gt", "counts", [-1, 1], "expected a count"),
+        ("gt", "counts", [True, 1], "expected a number, got true"),
+        ("gt", "raw_matches", [2, False], "expected a number, got false"),
+        ("gt", "counts", [3], "1 counts for 2 answers"),
+        ("gt", "discarded", "no", "discarded must be true or false"),
+        ("gt", "discarded", 0, "discarded must be true or false"),
+        ("gt", "p_star", {"classes": "hf", "probs": [0.5, 0.5]}, "bad categorical object"),
+        ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": "ab"}, "bad categorical object"),
+        ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": [True, False]},
+         "bad categorical object"),
+        ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": ["a", "b"]},
+         "bad categorical object: could not convert"),
+        ("pred", "samples", [{"text": "heat", "seq_prob": True}], "expected a number, got true"),
+        ("pred", "best_answer_prob", True, "expected a number, got true"),
+        ("pred", "ensemble", [{"classes": "ab", "probs": [0.5, 0.5]}], "bad categorical object"),
+        ("eval", "true_eu", True, "expected a number, got true"),
+        pytest.param("eval", "true_eu", 10**400, "int too large to convert to float",
+                     id="eval-true_eu-400-digits"),
+        ("eval", "scores", {"SE": False}, "expected a number, got false"),
+        ("filter", "accept", "false", "accept must be true or false"),
+        ("filter", "accept", 0, "accept must be true or false"),
+    ],
+)
+def test_json_types_at_the_boundary(tmp_path, kind, field, value, message):
+    parse, good = PARSERS[kind]
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [good, {**good, field: value}])
+    items, errors = formats.read_jsonl(path, parse)
+    assert [lineno for lineno, _ in items] == [1]
+    assert len(errors) == 1 and errors[0][0] == 2
+    assert message in errors[0][1]
+
+
+def test_counts_keep_integers_and_integral_values(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    write_jsonl(path, [{**GT, "counts": [2.0, 1], "raw_matches": [2**60 + 1, 1]}])
+    (_, record), = formats.read_jsonl(path, formats.parse_ground_truth)[0]
+    assert record.counts == (2, 1) and record.raw_matches == (2**60 + 1, 1)
+    assert all(type(c) is int for c in record.counts + record.raw_matches)
+
+
+def test_eval_skips_a_short_counts_row(tmp_path):
+    gt = tmp_path / "gt.jsonl"
+    write_jsonl(gt, [{**GT, "question_id": "q2"}, {**GT, "counts": [3]}])
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, [PRED, {**PRED, "question_id": "q2"}])
+    _, err = run(["eval", "--ground-truth", gt, "--predictions", preds,
+                   "--records-out", tmp_path / "r.jsonl", "--metrics-out", tmp_path / "m.csv"])
+    assert f"{gt}:2: skipped: record q: 1 counts for 2 answers" in err
+    assert "q: no ground-truth record; skipped" in err
+    assert [r["question_id"] for r in read_jsonl(tmp_path / "r.jsonl")] == ["q2"]
+
+
+class TestFilterFile:
+    QUESTION = "What is one essential part of the fire triangle?"
+
+    def rows(self, accept):
+        return [{"question": self.QUESTION, "answer": "Heat", "chunk_id": f"d{i:04d}:0",
+                 "accept": accept} for i in range(31)]
+
+    @pytest.mark.parametrize("accept", ["false", "no", 0, None])
+    def test_non_bool_accept_is_exit_2(self, tmp_path, fixture_corpus, fixture_specs, accept):
+        decisions = tmp_path / "decisions.jsonl"
+        write_jsonl(decisions, self.rows(False)[:3] + self.rows(accept)[3:5])
+        out = tmp_path / "gt.jsonl"
+        code, err = run(["build-gt", "--corpus", fixture_corpus, "--specs", fixture_specs,
+                         "--out", out, "--filter-file", decisions])
+        assert code == 2
+        assert f"{decisions}:4: filter decision: accept must be true or false" in err
+        assert not out.exists()
+
+    def test_bad_row_names_its_line(self, tmp_path, fixture_corpus, fixture_specs):
+        decisions = tmp_path / "decisions.jsonl"
+        rows = self.rows(False)
+        del rows[2]["chunk_id"]
+        write_jsonl(decisions, rows)
+        decisions.write_text(decisions.read_text() + "{bad\n")
+        code, err = run(["build-gt", "--corpus", fixture_corpus, "--specs", fixture_specs,
+                         "--out", tmp_path / "gt.jsonl", "--filter-file", decisions])
+        assert code == 2
+        assert f"{decisions}:3: filter decision: missing required field 'chunk_id'" in err
+
+
+class TestCap:
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cli_rejects_cap_below_one(self, tmp_path, fixture_corpus, fixture_specs, cap):
+        out = tmp_path / "gt.jsonl"
+        code, err = run(["build-gt", "--corpus", fixture_corpus, "--specs", fixture_specs,
+                         "--out", out, "--cap", cap])
+        assert code == 2
+        assert f"cap must be >= 1, got {cap}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_library_rejects_cap_below_one(self, cap):
+        index = build_index(chunk_corpus([("d", ["the fire needs heat"])]))
+        with pytest.raises(ValidationError, match="cap must be >= 1"):
+            build_ground_truth(index, [formats.parse_question_spec(SPEC)], cap=cap)
+        with pytest.raises(ValidationError, match="cap must be >= 1"):
+            cooccurrence_count(index, ["fire"], "heat", cap=cap)
+        assert cooccurrence_count(index, ["fire"], "heat", cap=1) == 1
+
+
+# --- CLI fuzz gate: short JSONL files from JSON values and junk bytes --------
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.sampled_from([10**400, -10**400, 2**64, -1, 0]),
+    st.floats(),
+    st.text(max_size=6),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+JUNK = st.one_of(
+    st.binary(max_size=8),
+    st.sampled_from([*TRACEBACK_LINES.values(), b"{bad", b"[]", b"null"]),
+    VALUES.map(lambda v: json.dumps(v).encode()),
+)
+QIDS = st.sampled_from(["q1", "q2"])
+ANSWERS = ["heat", "fuel", "oxygen"]
+PROBS = st.floats(0.01, 1.0)
+
+
+@st.composite
+def line(draw, rows):
+    """One JSONL line: junk, a row with one field replaced by any JSON value
+    or dropped, or (most often) the row as drawn."""
+    row, kind = draw(rows), draw(st.integers(0, 7))
+    if kind == 0:
+        return draw(JUNK)
+    field = draw(st.sampled_from(sorted(row)))
+    if kind == 1:
+        row = {**row, field: draw(VALUES)}
+    elif kind == 2:
+        del row[field]
+    return json.dumps(row).encode()
+
+
+def jsonl(rows):
+    """File bytes: two to five lines."""
+    return st.lists(line(rows), min_size=2, max_size=5).map(
+        lambda lines: b"".join(b + b"\n" for b in lines))
+
+
+@st.composite
+def gt_rows(draw):
+    answers = draw(st.lists(st.sampled_from(ANSWERS), min_size=1, max_size=3, unique=True))
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(answers), max_size=len(answers)))
+    return {"question_id": draw(QIDS), "answers": answers, "counts": counts,
+            "raw_matches": counts, "discarded": False,
+            "p_star": {"classes": answers, "probs": [c / sum(counts) for c in counts]}}
+
+
+@st.composite
+def pred_rows(draw):
+    texts = draw(st.lists(st.sampled_from(ANSWERS + ["It's Heat"]), min_size=1, max_size=3))
+    return {"question_id": draw(QIDS),
+            "samples": [{"text": t, "seq_prob": draw(PROBS)} for t in texts],
+            "best_answer_prob": draw(PROBS),
+            "ensemble": [{"classes": ["heat", "fuel"], "probs": [p, 1 - p]}
+                         for p in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2))]}
+
+
+EVAL_ROWS = st.fixed_dictionaries({
+    "question_id": QIDS,
+    "true_eu": st.floats(0.0, 2.0),
+    "scores": st.dictionaries(st.sampled_from(["SE", "MI", "MSP"]), st.floats(0.0, 2.0),
+                              max_size=3),
+})
+DOC_ROWS = st.fixed_dictionaries({
+    "doc_id": st.sampled_from(["d1", "d2"]),
+    "sections": st.lists(st.sampled_from(["the fire needs heat.", "fuel and fire.",
+                                          "oxygen feeds the fire and heat."]), max_size=3),
+})
+SPEC_ROWS = st.fixed_dictionaries({
+    "question_id": QIDS,
+    "question": st.just("What does fire need?"),
+    "keywords": st.lists(st.sampled_from(["fire", "needs"]), min_size=1, max_size=2),
+    "answers": st.lists(st.sampled_from(ANSWERS), min_size=1, max_size=3),
+})
+
+
+def fuzz_files(tmp_path_factory, **contents):
+    folder = tmp_path_factory.mktemp("fuzz")
+    for name, data in contents.items():
+        (folder / name).write_bytes(data)
+    return folder
+
+
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@FUZZ
+@given(records=jsonl(EVAL_ROWS), deltas=st.sampled_from(["0.3", "0.3,1"]))
+def test_fuzz_metrics(tmp_path_factory, records, deltas):
+    folder = fuzz_files(tmp_path_factory, **{"records.jsonl": records})
+    code, _ = run(["metrics", "--records", folder / "records.jsonl", "--deltas", deltas,
+                   "--metrics-out", folder / "m.csv", "--hist-out", folder / "h.csv"])
+    assert code in {0, 1, 2, 3}
+
+
+@FUZZ
+@given(gt=jsonl(gt_rows()), preds=jsonl(pred_rows()),
+       gammas=st.sampled_from([[], ["--dirichlet-gamma", "2"], ["--dirichlet-gamma", "1,5"]]),
+       equivalence=st.sampled_from([None, None, None, b'{"It\'s Heat": "heat"}', b'{"x": 1}']))
+def test_fuzz_eval(tmp_path_factory, gt, preds, gammas, equivalence):
+    folder = fuzz_files(tmp_path_factory, **{"gt.jsonl": gt, "preds.jsonl": preds,
+                                             "eq.json": equivalence or b""})
+    extra = [] if equivalence is None else ["--equivalence", folder / "eq.json"]
+    code, _ = run(["eval", "--ground-truth", folder / "gt.jsonl",
+                   "--predictions", folder / "preds.jsonl",
+                   "--records-out", folder / "r.jsonl", "--metrics-out", folder / "m.csv",
+                   *gammas, *extra])
+    assert code in {0, 1, 2, 3}
+
+
+@FUZZ
+@given(corpus=jsonl(DOC_ROWS), specs=jsonl(SPEC_ROWS), cap=st.sampled_from(["1", "2", "0"]),
+       decisions=st.one_of(st.none(), jsonl(st.fixed_dictionaries({
+           "question": st.just("What does fire need?"), "answer": st.sampled_from(ANSWERS),
+           "chunk_id": st.sampled_from(["d1:0", "d2:1"]), "accept": st.booleans()}))))
+def test_fuzz_build_gt(tmp_path_factory, corpus, specs, cap, decisions):
+    folder = fuzz_files(tmp_path_factory, **{"corpus.jsonl": corpus, "specs.jsonl": specs,
+                                             "decisions.jsonl": decisions or b""})
+    extra = [] if decisions is None else ["--filter-file", folder / "decisions.jsonl"]
+    code, _ = run(["build-gt", "--corpus", folder / "corpus.jsonl",
+                   "--specs", folder / "specs.jsonl", "--out", folder / "gt.jsonl",
+                   "--cap", cap, *extra])
+    assert code in {0, 1, 2, 3}
