@@ -25,6 +25,7 @@ from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 from . import formats
 from . import simlab
+# bench/tracer.py wraps decompose, expected_epistemic and posterior here; nothing calls them
 from .dirichlet import expected_epistemic, posterior
 from .dist import decompose, row_entropy
 from .errors import (
@@ -226,12 +227,6 @@ def _metric_rows(columns, deltas):
     return fieldnames, rows, n_values
 
 
-def _aligned_counts(record, joint_classes, eq) -> np.ndarray:
-    """Map a ground-truth record's counts onto the aligned joint support."""
-    merged = _canonical_merge(record.answers, record.counts, eq)
-    return np.array([merged.get(c, 0.0) for c in joint_classes])
-
-
 def _write_histogram(path, values, bins: int) -> None:
     rows = summarize(values, bins=bins).histogram_rows()
     formats.write_csv(path, ["bin_left", "bin_right", "count"],
@@ -270,16 +265,13 @@ def cmd_eval(args) -> int:
     if not matched:
         raise ValidationError("no question_id is present in both input files")
 
-    truth, score_rows, counts_list, model_list = [], [], [], []
+    score_rows, counts_list, model_list = [], [], []
     for qid in matched:
-        gt = gt_records[qid]
-        pred = predictions[qid]
+        gt, pred = gt_records[qid], predictions[qid]
         p_model = cluster(pred, eq)
-        p_star_aligned, p_model_aligned = align(
-            gt.p_star, p_model, eq, epsilon=args.epsilon
-        )
-        truth.append(decompose(p_star_aligned, p_model_aligned).epistemic)
-        counts_list.append(_aligned_counts(gt, p_star_aligned.classes, eq))
+        p_star_aligned, p_model_aligned = align(gt.p_star, p_model, eq, epsilon=args.epsilon)
+        counts = _canonical_merge(gt.answers, gt.counts, eq)
+        counts_list.append(np.array([counts.get(c, 0.0) for c in p_star_aligned.classes]))
         model_list.append(p_model_aligned.probs)
         scores = {"SE": semantic_entropy(p_model)}
         try:
@@ -293,43 +285,39 @@ def cmd_eval(args) -> int:
         else:
             _warn(f"{qid}: MI disabled: no ensemble in prediction record")
         score_rows.append(scores)
-    if len(gammas) == 1:
-        truth = np.empty(len(matched))
-        for idx, c, p in simlab.support_groups(counts_list, model_list):
-            truth[idx] = expected_epistemic(posterior(c, gammas[0]), p)
-    eval_records = [EvalRecord(qid, max(float(t), 0.0), scores)
+    # [(gamma, truth), ..., ("point", truth)]: one gamma sets the records'
+    # truth, none leaves the point estimate, a grid scores every row
+    truths = simlab.ablation_truths(counts_list, model_list, gammas)
+    truth = truths[0 if len(gammas) == 1 else -1][1]
+    eval_records = [EvalRecord(qid, float(t), scores)
                     for qid, t, scores in zip(matched, truth, score_rows)]
     columns = score_columns(eval_records)
 
-    formats.write_jsonl(
-        args.records_out, (formats.eval_record_to_dict(r) for r in eval_records)
-    )
-    print(f"wrote {len(eval_records)} eval records to {args.records_out}")
-
+    ablation = []
     if len(gammas) > 1:
-        # one truth per gamma; each estimator is scored on the records that carry it
-        truths = simlab.ablation_truths(counts_list, model_list, gammas)
-        rows = []
+        # each estimator is scored on the records that carry it
         for name, (_, score) in columns.items():
             keep = [i for i, scores in enumerate(score_rows) if name in scores]
             try:
-                rows += [{"gamma": label, "estimator": name,
-                          "concordance": concordance(truth[keep], score)}
-                         for label, truth in truths]
+                ablation += [{"gamma": label, "estimator": name,
+                              "concordance": concordance(values[keep], score)}
+                             for label, values in truths]
             except DegenerateInputError as exc:
                 _warn(f"gamma ablation[{name}]: {exc}")
         labels = [*gammas, "point"]
-        rows.sort(key=lambda r: (labels.index(r["gamma"]), r["estimator"]))
-        ablation_out = args.ablation_out or f"{args.metrics_out}.ablation.csv"
-        _write_ablation(ablation_out, rows)
-        print(f"wrote gamma ablation to {ablation_out}")
+        ablation.sort(key=lambda r: (labels.index(r["gamma"]), r["estimator"]))
 
     fieldnames, rows, n_values = _metric_rows(columns, deltas)
     if n_values == 0:
-        raise DegenerateInputError(
-            "no metric is defined on these records (constant true EU and/or "
-            "single-class binarization at every delta)"
-        )
+        raise DegenerateInputError("no metric is defined on these records (constant true EU "
+                                   "and/or single-class binarization at every delta)")
+
+    formats.write_jsonl(args.records_out, map(formats.eval_record_to_dict, eval_records))
+    print(f"wrote {len(eval_records)} eval records to {args.records_out}")
+    if len(gammas) > 1:
+        ablation_out = args.ablation_out or f"{args.metrics_out}.ablation.csv"
+        _write_ablation(ablation_out, ablation)
+        print(f"wrote gamma ablation to {ablation_out}")
     formats.write_csv(args.metrics_out, fieldnames, rows)
     print(f"wrote metrics for {len(columns)} estimators to {args.metrics_out}")
     return 0
@@ -402,6 +390,7 @@ def cmd_simulate(args) -> int:
         if config.counts_total == 0:
             raise DegenerateInputError("--ablation-csv needs counts_total > 0")
     result = simlab.run_experiment(config)
+    ablation = result.gamma_ablation(gammas) if args.ablation_csv else None
 
     formats.write_eval_columns(args.out, result.question_ids, result.true_eu, result.scores)
     with open(args.report, "w", encoding="utf-8") as fh:
@@ -417,7 +406,7 @@ def cmd_simulate(args) -> int:
     if args.hist_csv:
         _write_histogram(args.hist_csv, row_entropy(result.p_star), args.hist_bins)
     if args.ablation_csv:
-        _write_ablation(args.ablation_csv, result.gamma_ablation(gammas))
+        _write_ablation(args.ablation_csv, ablation)
     return 0
 
 
@@ -493,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist-csv", default=None, help="ground-truth entropy histogram")
     p.add_argument("--hist-bins", type=int, default=30)
     p.add_argument("--ablation-csv", default=None, help="gamma-ablation CSV")
-    p.add_argument("--gammas", default="1,2,5,10,100")
+    p.add_argument("--gammas", default=",".join(str(g) for g in simlab.DEFAULT_GAMMAS))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("metrics", help="metrics over an EvalRecord file")

@@ -83,8 +83,9 @@ class Categorical:
     def from_dict(cls, obj: dict) -> "Categorical":
         try:
             classes, probs = obj["classes"], obj["probs"]
-            if not (isinstance(classes, list) and isinstance(probs, list)):
-                raise TypeError("classes and probs must be lists")
+            if not (isinstance(classes, list) and isinstance(probs, list)
+                    and all(isinstance(c, str) for c in classes)):
+                raise TypeError("classes must be a list of strings and probs a list")
             if any(isinstance(p, bool) for p in probs):
                 raise TypeError("JSON true/false are not probabilities")
             return cls(tuple(classes), probs)
@@ -141,7 +142,8 @@ def row_js(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray | float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     m = 0.5 * (p + q)
-    return 0.5 * row_kl(p, m, axis=axis) + 0.5 * row_kl(q, m, axis=axis)
+    js = 0.5 * row_kl(p, m, axis=axis) + 0.5 * row_kl(q, m, axis=axis)
+    return np.clip(js, 0.0, np.log(2.0))  # rounding can overshoot ln 2 at disjoint supports
 
 
 def _require_same_classes(a: Categorical, b: Categorical) -> None:

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .corpus import GroundTruthRecord, QuestionSpec
-from .dist import Categorical
+from .dist import SUM_TOL, Categorical
 from .errors import ValidationError
 from .estimators import AnswerSample, AnswerSampleSet
 from .metrics import EvalRecord, score_columns
@@ -92,6 +92,20 @@ def _list(obj: dict, key: str, context: str) -> list:
     return value
 
 
+def _str(obj: dict, key: str, context: str) -> str:
+    value = _require(obj, key, context)
+    if not isinstance(value, str):
+        raise ValidationError(f"{context}: {key} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _strs(obj: dict, key: str, context: str) -> tuple:
+    values = _list(obj, key, context)
+    if not all(isinstance(v, str) for v in values):
+        raise ValidationError(f"{context}: {key} must be a list of strings")
+    return tuple(values)
+
+
 def _bool(value, key: str, context: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"{context}: {key} must be true or false, got {value!r}")
@@ -118,22 +132,21 @@ def _counts(obj: dict, key: str, context: str) -> tuple:
 
 
 def parse_corpus_doc(obj: dict) -> tuple:
-    doc_id = str(_require(obj, "doc_id", "corpus document"))
-    return doc_id, [str(s) for s in _list(obj, "sections", f"document {doc_id}")]
+    doc_id = _str(obj, "doc_id", "corpus document")
+    return doc_id, list(_strs(obj, "sections", f"document {doc_id}"))
 
 
 def parse_question_spec(obj: dict) -> QuestionSpec:
-    qid = str(_require(obj, "question_id", "question spec"))
+    qid = _str(obj, "question_id", "question spec")
     context = f"spec {qid}"
-    return QuestionSpec(qid, str(obj.get("question", "")),
-                        tuple(str(k) for k in _list(obj, "keywords", context)),
-                        tuple(str(a) for a in _list(obj, "answers", context)))
+    return QuestionSpec(qid, _str(obj, "question", context) if "question" in obj else "",
+                        _strs(obj, "keywords", context), _strs(obj, "answers", context))
 
 
 def parse_filter_decision(obj: dict) -> tuple:
     """((question, answer, chunk_id), accept) from one --filter-file row."""
     context = "filter decision"
-    key = tuple(str(_require(obj, k, context)) for k in ("question", "answer", "chunk_id"))
+    key = tuple(_str(obj, k, context) for k in ("question", "answer", "chunk_id"))
     return key, _bool(_require(obj, "accept", context), "accept", context)
 
 
@@ -153,24 +166,30 @@ def ground_truth_to_dict(record: GroundTruthRecord) -> dict:
 
 
 def parse_ground_truth(obj: dict) -> GroundTruthRecord:
-    qid = str(_require(obj, "question_id", "ground-truth record"))
+    qid = _str(obj, "question_id", "ground-truth record")
     context = f"record {qid}"
-    answers = tuple(str(a) for a in _list(obj, "answers", context))
+    answers = _strs(obj, "answers", context)
     counts = _counts(obj, "counts", context)
     discarded = _bool(obj.get("discarded", False), "discarded", context)
     p_star = None
     if not discarded:
         if len(counts) != len(answers):
             raise ValidationError(f"{context}: {len(counts)} counts for {len(answers)} answers")
+        freqs = np.array(counts, dtype=float)
+        if freqs.sum() == 0:
+            raise ValidationError(f"{context}: counts sum to 0")
         p_star = Categorical.from_dict(_require(obj, "p_star", context))
         if p_star.classes != answers:
             raise ValidationError(f"{context}: p_star classes differ from answers")
+        # eval takes its truth from the counts, so p_star must be counts / sum(counts)
+        if np.abs(p_star.probs - freqs / freqs.sum()).max() > SUM_TOL:
+            raise ValidationError(f"{context}: p_star differs from counts / sum(counts)")
     raw = _counts(obj, "raw_matches", context) if "raw_matches" in obj else counts
     return GroundTruthRecord(qid, answers, counts, p_star, discarded, obj.get("reason"), raw)
 
 
 def parse_prediction(obj: dict) -> AnswerSampleSet:
-    qid = str(_require(obj, "question_id", "prediction record"))
+    qid = _str(obj, "question_id", "prediction record")
     context = f"prediction {qid}"
     raw_samples = _require(obj, "samples", context)
     if not isinstance(raw_samples, list) or not raw_samples:
@@ -178,9 +197,9 @@ def parse_prediction(obj: dict) -> AnswerSampleSet:
     if not all(isinstance(s, dict) for s in raw_samples):
         raise ValidationError(f"{context}: samples must be objects")
     sample = f"{context} sample"
-    samples = tuple(AnswerSample(str(_require(s, "text", sample)),
+    samples = tuple(AnswerSample(_str(s, "text", sample),
                                  _number(_require(s, "seq_prob", sample), context),
-                                 None if s.get("cluster") is None else str(s["cluster"]))
+                                 None if s.get("cluster") is None else _str(s, "cluster", sample))
                     for s in raw_samples)
     ensemble = obj.get("ensemble")
     members: Optional[tuple] = None
@@ -218,7 +237,7 @@ def write_eval_columns(path, question_ids, true_eu, scores: dict) -> None:
 
 
 def parse_eval_record(obj: dict) -> EvalRecord:
-    qid = str(_require(obj, "question_id", "eval record"))
+    qid = _str(obj, "question_id", "eval record")
     context = f"eval record {qid}"
     scores = _require(obj, "scores", context)
     if not isinstance(scores, dict):

@@ -16,7 +16,7 @@ truth. All randomness flows from the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,7 @@ from .bounds import BoundQuery, alpha_delta, gamma_delta
 from .dirichlet import expected_epistemic, posterior
 from .dist import Categorical, row_cross_entropy, row_entropy, row_kl
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
+from .formats import _list, _number
 from .metrics import EvalRecord, concordance
 
 ZERO_AU = "zero-AU"
@@ -57,6 +58,8 @@ class SimConfig:
             raise ValidationError(f"k must be >= 2, got {self.k}")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.regime not in REGIMES:
             raise ValidationError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if not 0 < self.noise < math.inf:
@@ -73,22 +76,18 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValidationError(f"unknown simulation config keys: {sorted(unknown)}")
-        coerced = dict(obj)
-        try:
-            for name in ("k", "n", "seed", "ensemble_size", "counts_total"):
-                if name in coerced:
-                    coerced[name] = int(coerced[name])
-            if "noise" in coerced:
-                coerced["noise"] = float(coerced["noise"])
-            if "deltas" in coerced:
-                coerced["deltas"] = tuple(float(d) for d in coerced["deltas"])
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"bad simulation config value: {exc}") from exc
-        return cls(**coerced)
+        fields = dict(obj)
+        for name in ("k", "n", "seed", "ensemble_size", "counts_total", "noise"):
+            if name in fields:  # every number but noise is a count
+                fields[name] = _number(fields[name], f"simulation config {name}",
+                                       count=name != "noise")
+        if "deltas" in fields:
+            fields["deltas"] = tuple(_number(d, "simulation config deltas")
+                                     for d in _list(fields, "deltas", "simulation config"))
+        return cls(**fields)
 
 
 def _classes(k: int) -> tuple:
@@ -166,12 +165,12 @@ class ExperimentResult:
         scores = [dict(zip(self.scores, row)) for row in rows]
         return list(map(EvalRecord, self.question_ids, self.true_eu.tolist(), scores))
 
-    def gamma_ablation(self, gammas=DEFAULT_GAMMAS, include_point: bool = True):
+    def gamma_ablation(self, gammas=DEFAULT_GAMMAS):
         if self.counts is None:
             raise DegenerateInputError(
                 "gamma ablation needs per-record counts; set counts_total > 0"
             )
-        return gamma_ablation(self.counts, self.p_model, self.scores, gammas, include_point)
+        return gamma_ablation(self.counts, self.p_model, self.scores, gammas)
 
 
 def _verify_thm1(delta: float, k: int, se: np.ndarray, eu: np.ndarray) -> dict:
@@ -253,16 +252,7 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
         counts = rng.multinomial(config.counts_total, p_star)
 
     report: dict = {
-        "config": {
-            "k": config.k,
-            "n": config.n,
-            "seed": config.seed,
-            "regime": config.regime,
-            "noise": config.noise,
-            "deltas": list(config.deltas),
-            "ensemble_size": config.ensemble_size,
-            "counts_total": config.counts_total,
-        },
+        "config": {**asdict(config), "deltas": list(config.deltas)},
         "mean_aleatoric": float(au.mean()),
         "mean_epistemic": float(eu.mean()),
         "mean_total": float(tu.mean()),
@@ -315,13 +305,13 @@ def support_groups(counts, p_model) -> list:
     ]
 
 
-def ablation_truths(counts, p_model, gammas=DEFAULT_GAMMAS, include_point: bool = True):
+def ablation_truths(counts, p_model, gammas=DEFAULT_GAMMAS):
     """[(label, truth)]: the Dirichlet expected EU per gamma, then "point",
     KL(normalize(counts)||p). One batched call per (gamma, support size), see
     :func:`support_groups`; a row's truth depends on that row alone."""
     batches = support_groups(counts, p_model)
     out = []
-    for label in [*gammas, "point"] if include_point else gammas:
+    for label in [*gammas, "point"]:
         truth = np.empty(len(counts))
         for idx, c, p in batches:
             if label == "point":
@@ -333,13 +323,11 @@ def ablation_truths(counts, p_model, gammas=DEFAULT_GAMMAS, include_point: bool 
     return out
 
 
-def gamma_ablation(
-    counts, p_model, scores: dict, gammas=DEFAULT_GAMMAS, include_point: bool = True
-):
+def gamma_ablation(counts, p_model, scores: dict, gammas=DEFAULT_GAMMAS):
     """Concordance of each estimator against each of :func:`ablation_truths`:
     rows {"gamma", "estimator", "concordance"} in grid order."""
     return [
         {"gamma": label, "estimator": name, "concordance": concordance(truth, vals)}
-        for label, truth in ablation_truths(counts, p_model, gammas, include_point)
+        for label, truth in ablation_truths(counts, p_model, gammas)
         for name, vals in scores.items()
     ]

@@ -419,6 +419,7 @@ class TestEval:
         assert list(cwd.iterdir()) == []
 
     def test_single_gamma_truth_equals_per_record_scalar(self, tmp_path, monkeypatch):
+        from ambiuq import simlab
         from ambiuq.dirichlet import expected_epistemic, posterior
         from ambiuq.estimators import align, cluster
         from ambiuq.formats import parse_ground_truth, parse_prediction
@@ -449,7 +450,7 @@ class TestEval:
             calls.append(args)
             return expected_epistemic(*args)
 
-        monkeypatch.setattr(cli, "expected_epistemic", counted)
+        monkeypatch.setattr(simlab, "expected_epistemic", counted)
         code, records_path, _ = self.run_eval(tmp_path, gt, preds, "--dirichlet-gamma", "2")
         assert code == 0
         assert len(calls) == 2  # one batched call per support size
@@ -577,10 +578,17 @@ class TestEval:
                 for i in range(3)
             ],
         )
-        code, records_path, _ = self.run_eval(tmp_path, gt, preds)
+        code, records_path, metrics_path = self.run_eval(tmp_path, gt, preds)
         assert code == 3
-        for r in read_jsonl(records_path):
-            assert r["true_eu"] == 0.0
+        assert not records_path.exists() and not metrics_path.exists()
+        # every record's truth is exactly 0, so no metric is defined
+        from ambiuq.dist import decompose
+        from ambiuq.estimators import align, cluster
+        from ambiuq.formats import parse_ground_truth, parse_prediction
+
+        for row, pred in zip(read_jsonl(gt), read_jsonl(preds)):
+            aligned = align(parse_ground_truth(row).p_star, cluster(parse_prediction(pred)))
+            assert decompose(*aligned).epistemic == 0.0
 
     def test_rerun_byte_identical(
         self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions
@@ -617,13 +625,14 @@ class TestEval:
         gt_rows, pred_rows = [], []
         for i in range(5):
             p = float(rng.uniform(0.55, 0.95))
+            counts = [int(100 * p), 100 - int(100 * p)]
             gt_rows.append(
                 {
                     "question_id": f"q{i}",
                     "answers": ["a", "b"],
-                    "counts": [int(100 * p), 100 - int(100 * p)],
+                    "counts": counts,
                     "discarded": False,
-                    "p_star": {"classes": ["a", "b"], "probs": [p, 1 - p]},
+                    "p_star": {"classes": ["a", "b"], "probs": [c / 100 for c in counts]},
                 }
             )
             q = float(rng.uniform(0.1, 0.9))
@@ -823,6 +832,39 @@ class TestSimulate:
         assert "counts_total > 0" in capsys.readouterr().err
         assert not out.exists() and not report.exists()
 
+    def test_undefined_ablation_rejected_before_writing(self, tmp_path, capsys):
+        # one record: the ablation's concordance is undefined
+        scatter, hist, ablation = (tmp_path / f"{n}.csv" for n in ("s", "h", "a"))
+        code, out, report = self.run_sim(
+            tmp_path, {"n": 1, "counts_total": 5}, "--ablation-csv", str(ablation),
+            "--scatter-csv", str(scatter), "--hist-csv", str(hist),
+        )
+        assert code == 3
+        assert "concordance undefined" in capsys.readouterr().err
+        assert not any(p.exists() for p in (out, report, scatter, hist, ablation))
+
+    @pytest.mark.parametrize("config, extra, message", [
+        ({"n": 1e400}, [], "simulation config n: expected a count"),
+        ({"seed": -1}, [], "simulation config seed: expected a count"),
+        ({}, ["--seed", "-1"], "simulation config seed: expected a count"),
+        ({"k": 2.7}, [], "simulation config k: expected a count"),
+        ({"noise": True}, [], "simulation config noise: expected a number, got true"),
+        ({"deltas": "1"}, [], "simulation config: deltas must be a list"),
+        ({"deltas": [0.5, None]}, [], "simulation config deltas:"),
+    ])
+    def test_config_values_are_typed(self, tmp_path, capsys, config, extra, message):
+        code, out, report = self.run_sim(tmp_path, {"n": 20, **config}, *extra)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
+    def test_report_config_lists_every_field(self, tmp_path):
+        config = {"k": 4, "n": 30, "seed": 2, "regime": "free-AU", "noise": 3,
+                  "deltas": [0.5, 1.0], "ensemble_size": 2, "counts_total": 7}
+        code, _, report = self.run_sim(tmp_path, config)
+        assert code == 0
+        assert json.loads(report.read_text())["config"] == {**config, "noise": 3.0}
+
     def test_high_au_failure_is_config_error(self, tmp_path):
         code, _, _ = self.run_sim(
             tmp_path, {"k": 30, "n": 500, "regime": "high-AU", "deltas": [0.25]}
@@ -902,3 +944,16 @@ class TestMetricsCommand:
         assert code == 2
         assert "--deltas values must be finite and > 0" in capsys.readouterr().err
         assert not metrics.exists() and not hist.exists()
+
+
+def test_bench_tracer_finds_every_name_it_wraps():
+    # bench/tracer.py wraps names that cli, simlab, formats and corpus bind;
+    # a refactor that unbinds one breaks every traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "bench"]),
+           "PYTHONDONTWRITEBYTECODE": "1"}  # leave bench/ as it is
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer(0))"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambiuq.dist import (
     Categorical,
@@ -26,6 +28,20 @@ def cat(probs, classes=None):
 
 def random_pair(rng, k):
     return cat(rng.dirichlet(np.ones(k))), cat(rng.dirichlet(np.ones(k)))
+
+
+def simplex_point(k: int, zeros: bool):
+    """A point of the k-simplex from drawn weights; with ``zeros``, some may be 0."""
+    weight = st.floats(1e-3, 1.0) | st.just(0.0) if zeros else st.floats(1e-3, 1.0)
+    return st.lists(weight, min_size=k, max_size=k).filter(any).map(
+        lambda w: cat(np.array(w) / sum(w)))
+
+
+@st.composite
+def simplex_pairs(draw, zeros_in_p: bool):
+    """(p*, p) on one random simplex, k = 2..12; p* may have zeros."""
+    k = draw(st.integers(2, 12))
+    return draw(simplex_point(k, zeros=True)), draw(simplex_point(k, zeros=zeros_in_p))
 
 
 class TestCategorical:
@@ -172,6 +188,12 @@ class TestDecompose:
             parts = decompose(ps, p)
             assert abs(parts.total - parts.aleatoric - parts.epistemic) <= 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(simplex_pairs(zeros_in_p=False))
+    def test_total_is_aleatoric_plus_epistemic(self, pair):
+        parts = decompose(*pair)
+        assert math.isclose(parts.total, parts.aleatoric + parts.epistemic, rel_tol=1e-12)
+
 
 class TestJS:
     def test_identity(self):
@@ -194,6 +216,11 @@ class TestJS:
             a, b = js_divergence(p, q), js_divergence(q, p)
             assert a == pytest.approx(b, abs=1e-12)
             assert -1e-12 <= a <= math.log(2) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(simplex_pairs(zeros_in_p=True))
+    def test_bounded_on_random_simplex_points(self, pair):
+        assert 0.0 <= js_divergence(*pair) <= math.log(2)
 
 
 class TestNormalize:

@@ -144,7 +144,7 @@ class TestReadEvalColumns:
         path.write_text("\n".join(MALFORMED_LINES) + "\n")
         true_eu, columns, errors = read_eval_columns(path)
         want_eu, want_columns, want_errors = self.reference(path)
-        assert true_eu == want_eu == [0.1, 0.4, 0.7, 0.5, 0.9, 0.0]
+        assert true_eu == want_eu == [0.1, 0.4, 0.5, 0.9, 0.0]
         assert errors == want_errors
         assert list(columns) == list(want_columns) == ["MI", "MSP", "SE"]
         for name, (truth, score) in columns.items():

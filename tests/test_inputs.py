@@ -139,6 +139,32 @@ PARSERS = {
         ("eval", "scores", {"SE": False}, "expected a number, got false"),
         ("filter", "accept", "false", "accept must be true or false"),
         ("filter", "accept", 0, "accept must be true or false"),
+        # string fields are JSON strings, never coerced through str()
+        ("doc", "doc_id", ["d"], 'doc_id must be a string, got ["d"]'),
+        ("doc", "sections", ["text", 3], "sections must be a list of strings"),
+        ("spec", "question_id", 7, "question_id must be a string, got 7"),
+        ("spec", "question", None, "question must be a string, got null"),
+        ("spec", "keywords", [["fire"]], "keywords must be a list of strings"),
+        ("spec", "answers", [True, "fuel"], "answers must be a list of strings"),
+        ("filter", "question", None, "question must be a string, got null"),
+        ("filter", "answer", {"a": "heat"}, "answer must be a string"),
+        ("filter", "chunk_id", 0, "chunk_id must be a string, got 0"),
+        ("gt", "question_id", None, "question_id must be a string, got null"),
+        ("gt", "answers", ["heat", 1], "answers must be a list of strings"),
+        ("gt", "p_star", {"classes": [1, 2], "probs": [2 / 3, 1 / 3]},
+         "bad categorical object: classes must be a list of strings"),
+        ("pred", "question_id", False, "question_id must be a string, got false"),
+        ("pred", "samples", [{"text": 1, "seq_prob": 0.5}], "text must be a string, got 1"),
+        ("pred", "samples", [{"text": "heat", "seq_prob": 0.5, "cluster": ["h"]}],
+         'cluster must be a string, got ["h"]'),
+        ("pred", "ensemble", [{"classes": [None, "fuel"], "probs": [0.5, 0.5]}],
+         "bad categorical object: classes must be a list of strings"),
+        ("eval", "question_id", 1.5, "question_id must be a string, got 1.5"),
+        # a kept row's p_star is counts / sum(counts)
+        ("gt", "counts", [0, 0], "counts sum to 0"),
+        ("gt", "counts", [1, 1], "p_star differs from counts / sum(counts)"),
+        ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": [0.67, 0.33]},
+         "p_star differs from counts / sum(counts)"),
     ],
 )
 def test_json_types_at_the_boundary(tmp_path, kind, field, value, message):
@@ -164,11 +190,35 @@ def test_eval_skips_a_short_counts_row(tmp_path):
     write_jsonl(gt, [{**GT, "question_id": "q2"}, {**GT, "counts": [3]}])
     preds = tmp_path / "preds.jsonl"
     write_jsonl(preds, [PRED, {**PRED, "question_id": "q2"}])
-    _, err = run(["eval", "--ground-truth", gt, "--predictions", preds,
-                   "--records-out", tmp_path / "r.jsonl", "--metrics-out", tmp_path / "m.csv"])
+    code, err = run(["eval", "--ground-truth", gt, "--predictions", preds,
+                     "--records-out", tmp_path / "r.jsonl", "--metrics-out", tmp_path / "m.csv"])
     assert f"{gt}:2: skipped: record q: 1 counts for 2 answers" in err
     assert "q: no ground-truth record; skipped" in err
-    assert [r["question_id"] for r in read_jsonl(tmp_path / "r.jsonl")] == ["q2"]
+    # q2 alone defines no metric: exit 3, and nothing is written
+    assert code == 3 and "no metric is defined" in err
+    assert not (tmp_path / "r.jsonl").exists() and not (tmp_path / "m.csv").exists()
+
+
+def test_null_question_id_does_not_pair_with_the_string_none(tmp_path):
+    gt = tmp_path / "gt.jsonl"
+    write_jsonl(gt, [{**GT, "question_id": None}])
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, [{**PRED, "question_id": "None"}])
+    code, err = run(["eval", "--ground-truth", gt, "--predictions", preds,
+                     "--records-out", tmp_path / "r.jsonl", "--metrics-out", tmp_path / "m.csv"])
+    assert code == 2
+    assert f"{gt}:1: skipped: ground-truth record: question_id must be a string, got null" in err
+    assert "None: no ground-truth record; skipped" in err
+    assert "no question_id is present in both input files" in err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_p_star_within_sum_tol_of_counts_is_kept(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    write_jsonl(path, [{**GT, "p_star": {"classes": ["heat", "fuel"],
+                                         "probs": [2 / 3 + 5e-10, 1 / 3 - 5e-10]}}])
+    (_, record), = formats.read_jsonl(path, formats.parse_ground_truth)[0]
+    assert record.counts == (2, 1)
 
 
 class TestFilterFile:
