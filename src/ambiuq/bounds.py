@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import Categorical, kl
-from .errors import DegenerateInputError, DomainError, SupportError, ValidationError
+from .errors import DegenerateInputError, DomainError, SupportError
+from .estimators import EnsemblePrediction, ensemble_mean_mi
 
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
@@ -170,12 +171,7 @@ def nonidentifiability_witnesses(
 def mi_counterexample(ensemble: list[Categorical]) -> tuple[Categorical, float]:
     """The ground truth p* = mean member, for which true EU is exactly zero
     no matter how large the ensemble's mutual information is."""
-    if not ensemble:
-        raise ValidationError("ensemble must have at least one member")
-    classes = ensemble[0].classes
-    for member in ensemble[1:]:
-        if member.classes != classes:
-            raise ValidationError("ensemble members must share one ordered class list")
-    mean = np.mean([m.probs for m in ensemble], axis=0)
-    p_star = Categorical(classes, mean)
+    e = EnsemblePrediction(tuple(ensemble))
+    p_bar, _ = ensemble_mean_mi([m.probs for m in e.members])
+    p_star = Categorical(e.classes, p_bar)
     return p_star, kl(p_star, p_star)

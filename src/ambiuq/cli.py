@@ -191,11 +191,10 @@ def cmd_build_gt(args) -> int:
 
     kept = [r for r in records if not r.discarded]
     discarded = [r for r in records if r.discarded]
-    formats.write_jsonl(args.out, (formats.ground_truth_to_dict(r) for r in kept))
     discard_log = args.discard_log or f"{args.out}.discards.jsonl"
-    formats.write_jsonl(
-        discard_log, (formats.ground_truth_to_dict(r) for r in discarded)
-    )
+    with formats.staged_writes() as stage:
+        for path, rows in ((args.out, kept), (discard_log, discarded)):
+            formats.write_jsonl(stage(path), map(formats.ground_truth_to_dict, rows))
     print(
         f"wrote {len(kept)} ground-truth records to {args.out}; "
         f"{len(discarded)} discarded (see {discard_log})"
@@ -204,7 +203,8 @@ def cmd_build_gt(args) -> int:
 
 
 def _metric_rows(columns, deltas):
-    """One CSV row per estimator column: concordance plus AUCROC at each delta."""
+    """One CSV row per estimator column: concordance plus AUCROC at each delta;
+    DegenerateInputError when no value in any row is defined."""
     fieldnames = ["estimator", "concordance", *(f"aucroc@{d:.6g}" for d in deltas)]
     rows = []
     n_values = 0
@@ -224,7 +224,10 @@ def _metric_rows(columns, deltas):
                 _warn(f"aucroc[{name}, delta={d:.6g}]: {exc}")
                 row.append("")
         rows.append(row)
-    return fieldnames, rows, n_values
+    if n_values == 0:
+        raise DegenerateInputError("no metric is defined on these records (constant true EU "
+                                   "and/or single-class binarization at every delta)")
+    return fieldnames, rows
 
 
 def _write_histogram(path, values, bins: int) -> None:
@@ -307,18 +310,18 @@ def cmd_eval(args) -> int:
         labels = [*gammas, "point"]
         ablation.sort(key=lambda r: (labels.index(r["gamma"]), r["estimator"]))
 
-    fieldnames, rows, n_values = _metric_rows(columns, deltas)
-    if n_values == 0:
-        raise DegenerateInputError("no metric is defined on these records (constant true EU "
-                                   "and/or single-class binarization at every delta)")
+    fieldnames, rows = _metric_rows(columns, deltas)
 
-    formats.write_jsonl(args.records_out, map(formats.eval_record_to_dict, eval_records))
+    ablation_out = args.ablation_out or f"{args.metrics_out}.ablation.csv"
+    with formats.staged_writes() as stage:
+        formats.write_jsonl(stage(args.records_out),
+                            map(formats.eval_record_to_dict, eval_records))
+        if len(gammas) > 1:
+            _write_ablation(stage(ablation_out), ablation)
+        formats.write_csv(stage(args.metrics_out), fieldnames, rows)
     print(f"wrote {len(eval_records)} eval records to {args.records_out}")
     if len(gammas) > 1:
-        ablation_out = args.ablation_out or f"{args.metrics_out}.ablation.csv"
-        _write_ablation(ablation_out, ablation)
         print(f"wrote gamma ablation to {ablation_out}")
-    formats.write_csv(args.metrics_out, fieldnames, rows)
     print(f"wrote metrics for {len(columns)} estimators to {args.metrics_out}")
     return 0
 
@@ -392,21 +395,22 @@ def cmd_simulate(args) -> int:
     result = simlab.run_experiment(config)
     ablation = result.gamma_ablation(gammas) if args.ablation_csv else None
 
-    formats.write_eval_columns(args.out, result.question_ids, result.true_eu, result.scores)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(result.report, indent=2, sort_keys=True) + "\n")
+    with formats.staged_writes() as stage:
+        formats.write_eval_columns(stage(args.out), result.question_ids, result.true_eu,
+                                   result.scores)
+        with open(stage(args.report), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(result.report, indent=2, sort_keys=True) + "\n")
+        if args.scatter_csv:
+            formats.write_csv(
+                stage(args.scatter_csv), ["question_id", "predictive_entropy", "true_eu"],
+                zip(result.question_ids, *([f"{v:.9g}" for v in col.tolist()]
+                                           for col in (result.scores["SE"], result.true_eu))),
+            )
+        if args.hist_csv:
+            _write_histogram(stage(args.hist_csv), row_entropy(result.p_star), args.hist_bins)
+        if args.ablation_csv:
+            _write_ablation(stage(args.ablation_csv), ablation)
     print(f"wrote {config.n} records to {args.out}; report to {args.report}")
-
-    if args.scatter_csv:
-        formats.write_csv(
-            args.scatter_csv, ["question_id", "predictive_entropy", "true_eu"],
-            zip(result.question_ids, *([f"{v:.9g}" for v in col.tolist()]
-                                       for col in (result.scores["SE"], result.true_eu))),
-        )
-    if args.hist_csv:
-        _write_histogram(args.hist_csv, row_entropy(result.p_star), args.hist_bins)
-    if args.ablation_csv:
-        _write_ablation(args.ablation_csv, ablation)
     return 0
 
 
@@ -419,12 +423,11 @@ def cmd_metrics(args) -> int:
         _warn(f"{args.records}:{lineno}: skipped: {message}")
     if not true_eu:
         raise ValidationError("no usable eval records")
-    fieldnames, rows, n_values = _metric_rows(columns, deltas)
-    if n_values == 0:
-        raise DegenerateInputError("no metric is defined on these records")
-    formats.write_csv(args.metrics_out, fieldnames, rows)
-    if args.hist_out:
-        _write_histogram(args.hist_out, true_eu, args.hist_bins)
+    fieldnames, rows = _metric_rows(columns, deltas)
+    with formats.staged_writes() as stage:
+        formats.write_csv(stage(args.metrics_out), fieldnames, rows)
+        if args.hist_out:
+            _write_histogram(stage(args.hist_out), true_eu, args.hist_bins)
     print(f"wrote metrics for {len(columns)} estimators to {args.metrics_out}")
     return 0
 

@@ -143,6 +143,17 @@ def _canonical_merge(names, values, eq: EquivalenceMap) -> dict:
     return out
 
 
+def _impute(model: dict, joint: tuple, epsilon: float) -> Categorical:
+    """``model`` on the joint support: epsilon for each class it lacks, then
+    renormalized if any class was imputed."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    probs = np.array([model.get(c, epsilon) for c in joint])
+    if len(model) < len(joint):
+        probs = probs / probs.sum()
+    return Categorical(joint, probs)
+
+
 def align(
     p_star: Categorical,
     p_model: Categorical,
@@ -155,21 +166,12 @@ def align(
     model get epsilon, after which the model side is renormalized. The
     result always satisfies the KL support precondition.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon!r}")
     eq = eq or EquivalenceMap()
     star = _canonical_merge(p_star.classes, p_star.probs, eq)
     model = _canonical_merge(p_model.classes, p_model.probs, eq)
-    joint = list(dict.fromkeys([*star, *model]))
+    joint = tuple(dict.fromkeys([*star, *model]))
     star_probs = np.array([star.get(c, 0.0) for c in joint])
-    imputed = [c for c in joint if c not in model]
-    model_probs = np.array([model.get(c, epsilon) for c in joint])
-    if imputed:
-        model_probs = model_probs / model_probs.sum()
-    return (
-        Categorical(tuple(joint), star_probs),
-        Categorical(tuple(joint), model_probs),
-    )
+    return Categorical(joint, star_probs), _impute(model, joint, epsilon)
 
 
 def align_ensemble(
@@ -179,14 +181,8 @@ def align_ensemble(
     epsilon (then renormalizing) wherever a member lacks a class."""
     eq = eq or EquivalenceMap()
     merged = [_canonical_merge(m.classes, m.probs, eq) for m in members]
-    joint = list(dict.fromkeys([c for m in merged for c in m]))
-    aligned = []
-    for m in merged:
-        probs = np.array([m.get(c, epsilon) for c in joint])
-        if len(m) < len(joint):
-            probs = probs / probs.sum()
-        aligned.append(Categorical(tuple(joint), probs))
-    return EnsemblePrediction(tuple(aligned))
+    joint = tuple(dict.fromkeys([c for m in merged for c in m]))
+    return EnsemblePrediction(tuple(_impute(m, joint, epsilon) for m in merged))
 
 
 def semantic_entropy(p: Categorical) -> float:
@@ -211,11 +207,24 @@ def msp(best_answer_prob: Optional[float]) -> float:
     return 1.0 - best_answer_prob
 
 
+def ensemble_mean_mi(members) -> tuple:
+    """(p_bar, MI) of m member arrays, each (k,) or (n, k): the member mean,
+    and mean_i KL(p_i || p_bar) per row, in nats.
+
+    The members are added one by one, which gives the floats of
+    np.stack(members).mean(axis=0) without an (m, n, k) array. For the
+    same reason (n, k) members get one KL call each; (k,) members share
+    one stacked call, which gives the same rows at a fraction of the cost.
+    """
+    p_bar = sum(members[1:], members[0]) / len(members)
+    kl = (row_kl(np.stack(members), p_bar) if p_bar.ndim == 1
+          else np.stack([row_kl(member, p_bar) for member in members]))
+    return p_bar, kl.mean(axis=0)
+
+
 def mutual_information(e: EnsemblePrediction) -> float:
     """Ensemble mutual information: mean_i KL(p_i || p_bar), in nats.
 
     Equals H(p_bar) - mean_i H(p_i); bounded by the entropy of the mean.
     """
-    stacked = np.stack([m.probs for m in e.members])
-    p_bar = stacked.mean(axis=0)
-    return float(row_kl(stacked, p_bar[None, :]).mean())
+    return float(ensemble_mean_mi([m.probs for m in e.members])[1])

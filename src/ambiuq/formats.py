@@ -6,8 +6,10 @@ collected with their line numbers; callers decide whether to warn or fail.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from typing import Iterable, Optional
 
 import numpy as np
@@ -63,6 +65,31 @@ def read_json_object(path, flag: str) -> dict:
     if not isinstance(obj, dict):
         raise ValidationError(f"{flag} must contain a JSON object")
     return obj
+
+
+@contextlib.contextmanager
+def staged_writes():
+    """Yield ``stage(path)``, the name of a temporary next to ``path`` for the
+    caller to write. When the block succeeds every temporary is renamed onto
+    its path; when it raises every temporary is removed, so each output is
+    either complete or left as it was."""
+    staged = {}
+
+    def stage(path):
+        # a link, a device or a directory is opened in place, as before
+        if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+            return path
+        head, tail = os.path.split(path)
+        return staged.setdefault(path, os.path.join(head, f".{tail}.{os.getpid()}.tmp"))
+
+    try:
+        yield stage
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def write_jsonl(path, objs: Iterable[dict]) -> None:

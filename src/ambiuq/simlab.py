@@ -21,10 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundQuery, alpha_delta, gamma_delta
+# bench/tracer.py wraps alpha_delta and gamma_delta here; nothing calls them
+from .bounds import (BoundQuery, alpha_delta, eu_lower_bound_high_entropy, gamma_delta,
+                     thm2_probability_bound)
 from .dirichlet import expected_epistemic, posterior
 from .dist import Categorical, row_cross_entropy, row_entropy, row_kl
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
+from .estimators import ensemble_mean_mi
 from .formats import _list, _number
 from .metrics import EvalRecord, concordance
 
@@ -174,7 +177,7 @@ class ExperimentResult:
 
 
 def _verify_thm1(delta: float, k: int, se: np.ndarray, eu: np.ndarray) -> dict:
-    bound = -math.log(alpha_delta(BoundQuery(k=k, delta=delta)))
+    bound = eu_lower_bound_high_entropy(BoundQuery(k=k, delta=delta))
     high = se >= delta
     violations = int((eu[high] < bound - BOUND_SLACK).sum())
     return {
@@ -199,21 +202,12 @@ def _verify_thm2(delta: float, se: np.ndarray, eu: np.ndarray) -> dict:
         out["applicable"] = False
         out["note"] = "no low-entropy predictions in this population"
         return out
-    g = gamma_delta(delta)
-    eu_cap = -math.log(g)
     avg_loss = float(eu.mean())
-    observed = float((eu[low] <= eu_cap).mean())
-    bound = 1.0 - avg_loss / (-math.log1p(-g) * p_low)
-    out.update(
-        applicable=True,
-        gamma_delta=g,
-        eu_cap=eu_cap,
-        measured_avg_loss=avg_loss,
-        p_low_entropy=p_low,
-        observed_conditional_freq=observed,
-        prob_lower_bound=bound,
-        holds=observed >= bound,
-    )
+    bound = thm2_probability_bound(delta, avg_loss, p_low)
+    observed = float((eu[low] <= bound.eu_cap).mean())
+    out.update(applicable=True, **asdict(bound), measured_avg_loss=avg_loss,
+               p_low_entropy=p_low, observed_conditional_freq=observed,
+               holds=observed >= bound.prob_lower_bound)
     return out
 
 
@@ -230,10 +224,7 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     m = config.ensemble_size
     if m >= 2:
         members = [_sample_models(p_star, config.noise, rng) for _ in range(m)]
-        # adding the members one by one gives the floats of
-        # np.stack(members).mean(axis=0) without an (m, n, k) array
-        p_model = sum(members[1:], members[0]) / m
-        mi = np.stack([row_kl(member, p_model) for member in members]).mean(axis=0)
+        p_model, mi = ensemble_mean_mi(members)
     else:
         p_model = _sample_models(p_star, config.noise, rng)
         mi = None

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ambiuq.dist import Categorical, entropy
+from ambiuq.dist import Categorical, entropy, row_kl
 from ambiuq.errors import EstimatorUnavailableError, ValidationError
 from ambiuq.estimators import (
     AnswerSample,
@@ -13,6 +15,7 @@ from ambiuq.estimators import (
     align,
     align_ensemble,
     cluster,
+    ensemble_mean_mi,
     msp,
     mutual_information,
     semantic_entropy,
@@ -247,6 +250,20 @@ class TestMutualInformation:
         with pytest.raises(ValidationError):
             EnsemblePrediction((cat(("a", "b"), [1, 0]), cat(("b", "a"), [1, 0])))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda m: st.integers(2, 10).flatmap(
+        lambda k: st.lists(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
+                           .filter(lambda w: sum(w) > 0), min_size=m, max_size=m))))
+    def test_equals_stacked_reference_bytes(self, weights):
+        # m = 1..12 crosses the 8 terms from which numpy sums pairwise
+        stacked = np.array(weights) / np.array(weights).sum(axis=1, keepdims=True)
+        classes = [f"c{i}" for i in range(stacked.shape[1])]
+        e = EnsemblePrediction(tuple(cat(classes, row) for row in stacked))
+        p_bar = stacked.mean(axis=0)
+        want = row_kl(stacked, p_bar[None, :]).mean()
+        assert np.float64(mutual_information(e)).tobytes() == want.tobytes()
+        assert ensemble_mean_mi(list(stacked))[0].tobytes() == p_bar.tobytes()
+
 
 class TestAlignEnsemble:
     def test_union_support_with_epsilon(self):
@@ -265,3 +282,10 @@ class TestAlignEnsemble:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             align_ensemble(())
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.01, 1.5, math.nan])
+    @pytest.mark.parametrize("second", [("a", "b"), ("b", "c")])
+    def test_bad_epsilon(self, epsilon, second):
+        members = (cat(("a", "b"), [0.5, 0.5]), cat(second, [0.5, 0.5]))
+        with pytest.raises(ValidationError, match="epsilon must be in"):
+            align_ensemble(members, epsilon=epsilon)

@@ -14,6 +14,7 @@ from ambiuq.formats import (
     parse_eval_record,
     read_eval_columns,
     read_jsonl,
+    staged_writes,
     write_csv,
     write_eval_columns,
     write_jsonl,
@@ -176,9 +177,7 @@ def reference_metrics(records, metrics_out, hist_out, deltas) -> int:
         if not parsed:
             raise ValidationError("no usable eval records")
         columns = score_columns(parsed)
-        fieldnames, rows, n_values = cli._metric_rows(columns, deltas)
-        if n_values == 0:
-            raise DegenerateInputError("no metric is defined on these records")
+        fieldnames, rows = cli._metric_rows(columns, deltas)
         cli.formats.write_csv(metrics_out, fieldnames, rows)
         cli._write_histogram(hist_out, [r.true_eu for r in parsed], 4)
         print(f"wrote metrics for {len(columns)} estimators to {metrics_out}")
@@ -215,3 +214,31 @@ def test_metrics_streaming_matches_per_record_reference(tmp_path, capsys, keep):
         outputs[name] = code, captured.out.replace(str(out_dir), "OUT"), captured.err, files
     assert outputs["streaming"] == outputs["reference"]
     assert outputs["streaming"][0] == {"all": 0, "bad-only": 2, "no-scores": 3}[keep]
+
+
+class TestStagedWrites:
+    def test_renamed_into_place_on_success(self, tmp_path):
+        target = tmp_path / "a.csv"
+        with staged_writes() as stage:
+            write_csv(stage(str(target)), ["x"], [[1]])
+            assert not target.exists()
+        assert target.read_text() == "x\n1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_removed_on_failure(self, tmp_path):
+        target = tmp_path / "a.csv"
+        target.write_text("old\n")
+        with pytest.raises(ValidationError):
+            with staged_writes() as stage:
+                write_csv(stage(str(target)), ["x"], [[1]])
+                raise ValidationError("late failure")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert target.read_text() == "old\n"
+
+    def test_link_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        with staged_writes() as stage:
+            write_csv(stage(str(link)), ["x"], [[1]])
+        assert link.is_symlink() and real.read_text() == "x\n1\n"
