@@ -25,6 +25,15 @@ BISECT_MAX_ITER = 200
 _EDGE = 1e-12
 
 
+def _check_k(k) -> None:
+    try:
+        finite = math.isfinite(float(k))
+    except OverflowError:
+        finite = False
+    if not finite or int(k) != k or k < 2:
+        raise DomainError(f"k must be an integer >= 2 that converts to a finite float, got {k!r}")
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """Class count and entropy threshold (nats) for the bound evaluations."""
@@ -33,8 +42,7 @@ class BoundQuery:
     delta: float
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 2:
-            raise DomainError(f"k must be an integer >= 2, got {self.k!r}")
+        _check_k(self.k)
         if not math.isfinite(self.delta):
             raise DomainError(f"delta must be finite, got {self.delta!r}")
 
@@ -55,11 +63,14 @@ def h_max(alpha: float, k: int) -> float:
     Equals -a*ln(a) - (1-a)*ln((1-a)/(k-1)); strictly decreasing on
     [1/k, 1], with h_max(1/k) = ln k and h_max(1) = 0.
     """
-    if int(k) != k or k < 2:
-        raise DomainError(f"k must be an integer >= 2, got {k!r}")
+    _check_k(k)
     if not (1.0 / k - _EDGE <= alpha <= 1.0 + _EDGE):
         raise DomainError(f"alpha={alpha!r} outside [1/k, 1] for k={k}")
-    alpha = min(max(alpha, 1.0 / k), 1.0)
+    return _h_max(min(max(alpha, 1.0 / k), 1.0), k)
+
+
+def _h_max(alpha: float, k: int) -> float:
+    """h_max without the checks, for alpha already in [1/k, 1]."""
     rest = 1.0 - alpha
     if rest == 0.0:
         return 0.0
@@ -100,7 +111,9 @@ def alpha_delta(query: BoundQuery) -> float:
     if not (-_EDGE <= delta <= math.log(k) + _EDGE):
         raise DomainError(f"delta={delta!r} outside [0, ln k] for k={k}")
     delta = min(max(delta, 0.0), math.log(k))
-    return _bisect_decreasing(lambda a: h_max(a, k), 1.0 / k, 1.0, delta)
+    # mid stays strictly inside (1/k, 1), where h_max's checks and clamp
+    # never act, so the root equals bisecting h_max itself
+    return _bisect_decreasing(lambda a: _h_max(a, k), 1.0 / k, 1.0, delta)
 
 
 def gamma_delta(delta: float) -> float:
@@ -127,25 +140,27 @@ def thm2_probability_bound(
     1 - avg_loss / (-ln(1-gamma_delta) * p_low_entropy). The lower bound is
     reported as-is even when negative (vacuous).
     """
-    if delta == 0.0:
-        raise DegenerateInputError(
-            "delta=0 makes -ln(1-gamma_delta) infinite; the bound is undefined"
-        )
-    if not (0.0 < delta <= math.log(2.0) + _EDGE):
-        raise DomainError(f"delta={delta!r} outside (0, ln 2]")
-    if avg_loss < 0:
-        raise DomainError(f"avg_loss={avg_loss!r} must be >= 0")
+    if not (0.0 <= delta <= math.log(2.0) + _EDGE):
+        raise DomainError(f"delta={delta!r} outside [0, ln 2]")
+    if not (math.isfinite(avg_loss) and avg_loss >= 0):
+        raise DomainError(f"avg_loss={avg_loss!r} must be finite and >= 0")
     if p_low_entropy == 0.0:
         raise DegenerateInputError("p_low_entropy=0: no low-entropy mass to condition on")
     if not (0.0 < p_low_entropy <= 1.0):
         raise DomainError(f"p_low_entropy={p_low_entropy!r} outside (0, 1]")
     g = gamma_delta(delta)
-    denom = -math.log1p(-g) * p_low_entropy
-    return Thm2Bound(
-        gamma_delta=g,
-        eu_cap=float(-math.log(g)),
-        prob_lower_bound=float(1.0 - avg_loss / denom),
-    )
+    # at delta = 0, and below about 4e-15 in floating point
+    if g == 1.0:
+        raise DegenerateInputError(
+            f"delta={delta!r} makes gamma_delta 1 and -ln(1-gamma_delta) infinite;"
+            " the bound is undefined"
+        )
+    bound = float(1.0 - avg_loss / (-math.log1p(-g) * p_low_entropy))
+    if not math.isfinite(bound):
+        raise DegenerateInputError(
+            f"avg_loss={avg_loss!r} over p_low_entropy={p_low_entropy!r} overflows the bound"
+        )
+    return Thm2Bound(gamma_delta=g, eu_cap=float(-math.log(g)), prob_lower_bound=bound)
 
 
 def nonidentifiability_witnesses(

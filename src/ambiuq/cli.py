@@ -329,8 +329,8 @@ def cmd_eval(args) -> int:
 def cmd_bounds(args) -> int:
     if args.bound_line_points < 0:
         raise ValidationError("--bound-line-points must be >= 0")
-    query = bounds_mod.BoundQuery(k=args.k, delta=args.delta)
     try:
+        query = bounds_mod.BoundQuery(k=args.k, delta=args.delta)
         a_delta = bounds_mod.alpha_delta(query)
     except DomainError as exc:
         raise DomainError(f"--delta/--k: {exc}")
@@ -374,8 +374,9 @@ def cmd_bounds(args) -> int:
     ]
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with formats.staged_writes() as stage:
+            with open(stage(args.out), "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     else:
         print(text)
     return 0
@@ -395,16 +396,16 @@ def cmd_simulate(args) -> int:
     result = simlab.run_experiment(config)
     ablation = result.gamma_ablation(gammas) if args.ablation_csv else None
 
+    question_ids = result.question_ids
     with formats.staged_writes() as stage:
-        formats.write_eval_columns(stage(args.out), result.question_ids, result.true_eu,
-                                   result.scores)
+        formats.write_eval_columns(stage(args.out), question_ids, result.true_eu, result.scores)
         with open(stage(args.report), "w", encoding="utf-8") as fh:
             fh.write(json.dumps(result.report, indent=2, sort_keys=True) + "\n")
         if args.scatter_csv:
             formats.write_csv(
                 stage(args.scatter_csv), ["question_id", "predictive_entropy", "true_eu"],
-                zip(result.question_ids, *([f"{v:.9g}" for v in col.tolist()]
-                                           for col in (result.scores["SE"], result.true_eu))),
+                zip(question_ids, *([f"{v:.9g}" for v in col.tolist()]
+                                    for col in (result.scores["SE"], result.true_eu))),
             )
         if args.hist_csv:
             _write_histogram(stage(args.hist_csv), row_entropy(result.p_star), args.hist_bins)

@@ -71,14 +71,21 @@ def _inversions(seq: np.ndarray) -> int:
     sort. The pass for bit b moves each element past exactly the elements it
     forms such a pair with whose values first differ at bit b, so half the
     total displacement over all passes is the pair count.
+
+    Each pass sorts its prefix ``seq >> b`` as the narrowest unsigned type
+    that holds ``max(seq) >> b``: 8 bits on the highest passes, then 16, then
+    32 or 64. NumPy's stable sort is a radix sort on 8- and 16-bit keys, and
+    any stable sort gives the same permutation, so the count is unchanged.
     """
     n = seq.shape[0]
-    pos = np.arange(n)
+    top = int(seq.max())
+    idx = np.arange(n)
+    pos = idx.copy()
     moved = 0
-    for b in reversed(range(int(seq.max()).bit_length())):
-        order = np.argsort(seq >> b, kind="stable")
-        moved += int(np.abs(pos[order] - np.arange(n)).sum())
-        pos[order] = np.arange(n)
+    for b in reversed(range(top.bit_length())):
+        order = np.argsort((seq >> b).astype(np.min_scalar_type(top >> b)), kind="stable")
+        moved += int(np.abs(pos[order] - idx).sum())
+        pos[order] = idx
     return moved // 2
 
 

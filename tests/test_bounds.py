@@ -5,6 +5,7 @@ import pytest
 
 from ambiuq.bounds import (
     BoundQuery,
+    _bisect_decreasing,
     alpha_delta,
     binary_entropy,
     eu_lower_bound_high_entropy,
@@ -46,6 +47,8 @@ class TestHMax:
             h_max(1.1, 3)
         with pytest.raises(DomainError):
             h_max(0.5, 1)
+        with pytest.raises(DomainError, match="finite float"):
+            h_max(0.5, 10**400)
 
     def test_is_the_max_over_constrained_distributions(self):
         # no distribution with max class prob alpha exceeds h_max(alpha, k)
@@ -117,6 +120,16 @@ class TestInversion:
             alpha_delta(BoundQuery(3, -0.1))
         with pytest.raises(DomainError):
             gamma_delta(LN2 + 0.01)
+        with pytest.raises(DomainError, match="finite float"):
+            BoundQuery(10**400, 0.5)
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 1000])
+    def test_alpha_delta_is_the_bisection_of_h_max(self, k):
+        # alpha_delta skips h_max's checks inside the bracket; the root must
+        # still be the very float that bisecting the checked h_max gives
+        for delta in np.linspace(0.0, math.log(k), 300):
+            expected = _bisect_decreasing(lambda a: h_max(a, k), 1 / k, 1.0, float(delta))
+            assert alpha_delta(BoundQuery(k, float(delta))) == expected
 
 
 class TestEuLowerBound:
@@ -174,14 +187,25 @@ class TestThm2Bound:
             thm2_probability_bound(0.0, 0.1, 0.5)
         with pytest.raises(DegenerateInputError):
             thm2_probability_bound(0.5, 0.1, 0.0)
+        # gamma_delta(1e-300) is 1.0 in floating point
+        with pytest.raises(DegenerateInputError, match="makes gamma_delta 1"):
+            thm2_probability_bound(1e-300, 0.1, 0.5)
+        # 0.1 / (1.61 * 1e-320) overflows to inf
+        with pytest.raises(DegenerateInputError, match="overflows"):
+            thm2_probability_bound(0.5, 0.1, 1e-320)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             thm2_probability_bound(LN2 + 0.1, 0.1, 0.5)
         with pytest.raises(DomainError):
+            thm2_probability_bound(-0.1, 0.1, 0.5)
+        with pytest.raises(DomainError):
             thm2_probability_bound(0.5, -0.1, 0.5)
         with pytest.raises(DomainError):
             thm2_probability_bound(0.5, 0.1, 1.5)
+        for avg_loss in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                thm2_probability_bound(0.5, avg_loss, 0.5)
 
 
 class TestWitnesses:

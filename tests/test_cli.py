@@ -730,6 +730,31 @@ class TestBounds:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("delta, loss, mass, code", [
+        ("0.5", "nan", "0.5", 2),
+        ("0.5", "inf", "0.5", 2),
+        ("0.5", "0.1", "1e-320", 3),
+        ("1e-300", "0.1", "0.5", 3),
+    ], ids=["nan_loss", "inf_loss", "bound_overflows", "gamma_delta_rounds_to_1"])
+    def test_non_finite_thm2_rejected(self, tmp_path, capsys, delta, loss, mass, code):
+        out = tmp_path / "report.json"
+        assert main(["bounds", "--k", "3", "--delta", delta, "--avg-loss", loss,
+                     "--p-low-entropy", mass, "--out", str(out)]) == code
+        assert "--avg-loss" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_k_rejected(self, capsys):
+        assert main(["bounds", "--k", "9" * 401, "--delta", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "--k" in err and "Traceback" not in err
+
+    def test_out_replaces_file(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("old\n")
+        assert main(["bounds", "--k", "3", "--delta", "0.5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["k"] == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_negative_bound_line_points_rejected(self, capsys):
         code = main(["bounds", "--k", "3", "--delta", "0.5", "--bound-line-points", "-1"])
         assert code == 2
@@ -1022,6 +1047,10 @@ class TestOutputsOnFailure:
                      "--report", str(out / "r.json"), "--scatter-csv", str(out / "s.csv"),
                      "--hist-csv", str(out / "h.csv"),
                      "--ablation-csv", str(out / "no" / "a.csv")])
+        self.check(out, code, capsys)
+
+    def test_bounds(self, out, capsys):
+        code = main(["bounds", "--k", "3", "--delta", "0.5", "--out", str(out / "no" / "b.json")])
         self.check(out, code, capsys)
 
     def test_metrics(self, tmp_path, out, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,6 +40,41 @@ def brute_concordance(true_eus, scores):
             elif scores[i] == scores[j]:
                 credit += 0.5
     return credit / comparable
+
+
+def merge_sort_inversions(seq):
+    """(pairs i < j with seq[i] > seq[j], sorted seq) by merge sort."""
+    if len(seq) < 2:
+        return 0, list(seq)
+    mid = len(seq) // 2
+    count_left, left = merge_sort_inversions(seq[:mid])
+    count_right, right = merge_sort_inversions(seq[mid:])
+    count, merged, i, j = count_left + count_right, [], 0, 0
+    while i < len(left) and j < len(right):
+        if right[j] < left[i]:
+            count += len(left) - i
+            merged.append(right[j])
+            j += 1
+        else:
+            merged.append(left[i])
+            i += 1
+    return count, merged + left[i:] + right[j:]
+
+
+def merge_sort_concordance(true_eus, scores):
+    """Concordance from a merge-sort inversion count; the oracle at sizes pair
+    enumeration cannot reach. In (truth, score) order the discordant pairs
+    are exactly the strict inversions of the scores."""
+
+    def tied(values):
+        return sum(c * (c - 1) // 2 for c in Counter(values).values())
+
+    rows = sorted(zip(true_eus, scores))
+    discordant = merge_sort_inversions([s for _, s in rows])[0]
+    comparable = len(rows) * (len(rows) - 1) // 2 - tied(true_eus)
+    score_tied = tied(scores) - tied(rows)
+    concordant = comparable - discordant - score_tied
+    return (concordant + 0.5 * score_tied) / comparable
 
 
 def brute_aucroc(true_eus, scores, delta):
@@ -227,6 +263,21 @@ class TestArrayEntryPoints:
         assume((eus >= delta).any() and (eus < delta).any())
         expected = brute_aucroc(eus.tolist(), scores.tolist(), delta)
         assert aucroc(eus, scores, delta) == expected
+
+    # 70,000 > 2**16 distinct score ranks: the lowest passes of the inversion
+    # count sort 32-bit keys, the higher ones 16- and 8-bit keys
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_concordance_matches_merge_sort_at_scale(self, tied):
+        rng = np.random.default_rng(7)
+        n = 70_000
+        eus = rng.integers(0, 500, size=n) / 100.0 if tied else rng.uniform(0, 5, size=n)
+        scores = eus + rng.normal(0, 1.0, size=n)
+        if tied:
+            scores = np.round(scores, 6)
+        assert np.unique(scores).size > 2**16
+        assert (np.unique(scores).size < n) == tied
+        expected = merge_sort_concordance(eus.tolist(), scores.tolist())
+        assert concordance(eus, scores) == expected
 
     def test_score_columns_agree(self):
         rng = np.random.default_rng(6)
