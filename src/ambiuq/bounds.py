@@ -19,10 +19,9 @@ from .dist import Categorical, kl
 from .errors import DegenerateInputError, DomainError, SupportError
 from .estimators import EnsemblePrediction, ensemble_mean_mi
 
-BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
 # slack for floating-point endpoints like delta == ln(k)
-_EDGE = 1e-12
+EDGE = 1e-12
 
 
 def _check_k(k) -> None:
@@ -64,7 +63,7 @@ def h_max(alpha: float, k: int) -> float:
     [1/k, 1], with h_max(1/k) = ln k and h_max(1) = 0.
     """
     _check_k(k)
-    if not (1.0 / k - _EDGE <= alpha <= 1.0 + _EDGE):
+    if not (1.0 / k - EDGE <= alpha <= 1.0 + EDGE):
         raise DomainError(f"alpha={alpha!r} outside [1/k, 1] for k={k}")
     return _h_max(min(max(alpha, 1.0 / k), 1.0), k)
 
@@ -89,9 +88,8 @@ def binary_entropy(gamma: float) -> float:
 def _bisect_decreasing(fn, lo: float, hi: float, target: float) -> float:
     """Solve fn(x) = target for fn monotone decreasing on [lo, hi].
 
-    Runs the bracket to collapse (not just to BISECT_TOL on the value), so
-    the root is machine-accurate even where the curve is flat; the value
-    tolerance then holds with a wide margin everywhere.
+    Runs the bracket to collapse rather than to a tolerance on the value,
+    so the root is machine-accurate even where the curve is flat.
     """
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -108,7 +106,7 @@ def alpha_delta(query: BoundQuery) -> float:
     """Largest possible max-class probability among distributions with
     entropy >= delta; the unique root of h_max(a, k) = delta on [1/k, 1]."""
     k, delta = query.k, query.delta
-    if not (-_EDGE <= delta <= math.log(k) + _EDGE):
+    if not (-EDGE <= delta <= math.log(k) + EDGE):
         raise DomainError(f"delta={delta!r} outside [0, ln k] for k={k}")
     delta = min(max(delta, 0.0), math.log(k))
     # mid stays strictly inside (1/k, 1), where h_max's checks and clamp
@@ -119,7 +117,7 @@ def alpha_delta(query: BoundQuery) -> float:
 def gamma_delta(delta: float) -> float:
     """Smallest possible max-class probability among distributions with
     entropy <= delta; the root of H_B(g) = delta on [1/2, 1]."""
-    if not (-_EDGE <= delta <= math.log(2.0) + _EDGE):
+    if not (-EDGE <= delta <= math.log(2.0) + EDGE):
         raise DomainError(f"delta={delta!r} outside [0, ln 2]")
     delta = min(max(delta, 0.0), math.log(2.0))
     return _bisect_decreasing(binary_entropy, 0.5, 1.0, delta)
@@ -140,7 +138,7 @@ def thm2_probability_bound(
     1 - avg_loss / (-ln(1-gamma_delta) * p_low_entropy). The lower bound is
     reported as-is even when negative (vacuous).
     """
-    if not (0.0 <= delta <= math.log(2.0) + _EDGE):
+    if not (0.0 <= delta <= math.log(2.0) + EDGE):
         raise DomainError(f"delta={delta!r} outside [0, ln 2]")
     if not (math.isfinite(avg_loss) and avg_loss >= 0):
         raise DomainError(f"avg_loss={avg_loss!r} must be finite and >= 0")

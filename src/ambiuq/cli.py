@@ -18,6 +18,7 @@ import select
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -38,9 +39,9 @@ from .errors import (
 from .estimators import (
     DEFAULT_EPSILON,
     EquivalenceMap,
-    _canonical_merge,
     align,
     align_ensemble,
+    canonical_merge,
     cluster,
     msp,
     mutual_information,
@@ -273,7 +274,7 @@ def cmd_eval(args) -> int:
         gt, pred = gt_records[qid], predictions[qid]
         p_model = cluster(pred, eq)
         p_star_aligned, p_model_aligned = align(gt.p_star, p_model, eq, epsilon=args.epsilon)
-        counts = _canonical_merge(gt.answers, gt.counts, eq)
+        counts = canonical_merge(gt.answers, gt.counts, eq)
         counts_list.append(np.array([counts.get(c, 0.0) for c in p_star_aligned.classes]))
         model_list.append(p_model_aligned.probs)
         scores = {"SE": semantic_entropy(p_model)}
@@ -340,9 +341,9 @@ def cmd_bounds(args) -> int:
         "alpha_delta": a_delta,
         "eu_lower_bound": bounds_mod.eu_lower_bound_high_entropy(query),
     }
-    if 0.0 < args.delta <= math.log(2.0):
+    try:
         report["gamma_delta"] = bounds_mod.gamma_delta(args.delta)
-    else:
+    except DomainError:
         report["gamma_delta"] = None
 
     if (args.avg_loss is None) != (args.p_low_entropy is None):
@@ -354,11 +355,7 @@ def cmd_bounds(args) -> int:
             )
         except (DomainError, DegenerateInputError) as exc:
             raise type(exc)(f"--delta/--avg-loss/--p-low-entropy: {exc}")
-        report["thm2"] = {
-            "gamma_delta": bound.gamma_delta,
-            "eu_cap": bound.eu_cap,
-            "prob_lower_bound": bound.prob_lower_bound,
-        }
+        report["thm2"] = asdict(bound)
     else:
         report["thm2"] = None
 
@@ -388,7 +385,7 @@ def cmd_simulate(args) -> int:
     raw = formats.read_json_object(args.config, "--config")
     if args.seed is not None:
         raw["seed"] = args.seed
-    config = simlab.SimConfig.from_dict(raw)
+    config = formats.parse_sim_config(raw)
     if args.ablation_csv:
         gammas = _parse_gammas(args.gammas, "--gammas")
         if config.counts_total == 0:

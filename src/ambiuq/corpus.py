@@ -139,9 +139,6 @@ class InvertedIndex:
             for term in chunk.stemmed_terms:
                 self._postings.setdefault(term, []).append(pos)
 
-    def __len__(self) -> int:
-        return len(self.chunks)
-
     def postings(self, term: str) -> list:
         return self._postings.get(term, [])
 

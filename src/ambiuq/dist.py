@@ -75,23 +75,6 @@ class Categorical:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def to_dict(self) -> dict:
-        """JSON-ready form, the wire format used by every file schema."""
-        return {"classes": list(self.classes), "probs": [float(x) for x in self.probs]}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Categorical":
-        try:
-            classes, probs = obj["classes"], obj["probs"]
-            if not (isinstance(classes, list) and isinstance(probs, list)
-                    and all(isinstance(c, str) for c in classes)):
-                raise TypeError("classes must be a list of strings and probs a list")
-            if any(isinstance(p, bool) for p in probs):
-                raise TypeError("JSON true/false are not probabilities")
-            return cls(tuple(classes), probs)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"bad categorical object: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -118,10 +101,9 @@ def row_kl(p_star: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray | fl
     p_star = np.asarray(p_star, dtype=float)
     p = np.asarray(p, dtype=float)
     mask = p_star > 0
-    with np.errstate(divide="ignore"):
-        log_ps = np.log(np.where(mask, p_star, 1.0))
-        log_p = np.where(mask, np.log(np.where(p > 0, p, 1.0)), 0.0)
-        log_p = np.where(mask & (p <= 0), -np.inf, log_p)
+    log_ps = np.log(np.where(mask, p_star, 1.0))
+    log_p = np.where(mask, np.log(np.where(p > 0, p, 1.0)), 0.0)
+    log_p = np.where(mask & (p <= 0), -np.inf, log_p)
     terms = np.where(mask, p_star * (log_ps - log_p), 0.0)
     return terms.sum(axis=axis)
 
@@ -131,9 +113,8 @@ def row_cross_entropy(p_star: np.ndarray, p: np.ndarray, axis: int = -1):
     p_star = np.asarray(p_star, dtype=float)
     p = np.asarray(p, dtype=float)
     mask = p_star > 0
-    with np.errstate(divide="ignore"):
-        log_p = np.where(mask, np.log(np.where(p > 0, p, 1.0)), 0.0)
-        log_p = np.where(mask & (p <= 0), -np.inf, log_p)
+    log_p = np.where(mask, np.log(np.where(p > 0, p, 1.0)), 0.0)
+    log_p = np.where(mask & (p <= 0), -np.inf, log_p)
     return -np.where(mask, p_star * log_p, 0.0).sum(axis=axis)
 
 

@@ -19,11 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .dist import Categorical, entropy, row_kl
-from .errors import (
-    DegenerateInputError,
-    EstimatorUnavailableError,
-    ValidationError,
-)
+from .errors import EstimatorUnavailableError, ValidationError
 
 DEFAULT_EPSILON = 0.01
 
@@ -126,15 +122,11 @@ def cluster(sample_set: AnswerSampleSet, eq: Optional[EquivalenceMap] = None) ->
         key = eq.canonical(label)
         sums[key] = sums.get(key, 0.0) + sample.seq_prob
     total = sum(sums.values())
-    if total <= 0:
-        raise DegenerateInputError(
-            f"{sample_set.question_id}: all sequence probabilities are zero"
-        )
     classes = tuple(sums)
     return Categorical(classes, np.array([sums[c] / total for c in classes]))
 
 
-def _canonical_merge(names, values, eq: EquivalenceMap) -> dict:
+def canonical_merge(names, values, eq: EquivalenceMap) -> dict:
     """Canonicalize names, summing the values of names that collide."""
     out: dict = {}
     for name, value in zip(names, values):
@@ -167,8 +159,8 @@ def align(
     result always satisfies the KL support precondition.
     """
     eq = eq or EquivalenceMap()
-    star = _canonical_merge(p_star.classes, p_star.probs, eq)
-    model = _canonical_merge(p_model.classes, p_model.probs, eq)
+    star = canonical_merge(p_star.classes, p_star.probs, eq)
+    model = canonical_merge(p_model.classes, p_model.probs, eq)
     joint = tuple(dict.fromkeys([*star, *model]))
     star_probs = np.array([star.get(c, 0.0) for c in joint])
     return Categorical(joint, star_probs), _impute(model, joint, epsilon)
@@ -180,7 +172,7 @@ def align_ensemble(
     """Align ensemble members onto their joint canonical support, imputing
     epsilon (then renormalizing) wherever a member lacks a class."""
     eq = eq or EquivalenceMap()
-    merged = [_canonical_merge(m.classes, m.probs, eq) for m in members]
+    merged = [canonical_merge(m.classes, m.probs, eq) for m in members]
     joint = tuple(dict.fromkeys([c for m in merged for c in m]))
     return EnsemblePrediction(tuple(_impute(m, joint, epsilon) for m in merged))
 

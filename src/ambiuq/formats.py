@@ -19,6 +19,7 @@ from .dist import SUM_TOL, Categorical
 from .errors import ValidationError
 from .estimators import AnswerSample, AnswerSampleSet
 from .metrics import EvalRecord, score_columns
+from .simlab import SimConfig
 
 
 def _iter_jsonl(path, errors: list, parse):
@@ -158,6 +159,34 @@ def _counts(obj: dict, key: str, context: str) -> tuple:
     return tuple(_number(c, context, count=True) for c in _list(obj, key, context))
 
 
+def parse_categorical(value, context: str) -> Categorical:
+    """The {"classes", "probs"} object that ``context`` names."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{context} must be an object")
+    return Categorical(_strs(value, "classes", context),
+                       [_number(p, f"{context}: probs") for p in _list(value, "probs", context)])
+
+
+def categorical_to_dict(p: Categorical) -> dict:
+    return {"classes": list(p.classes), "probs": p.probs.tolist()}
+
+
+def parse_sim_config(obj: dict) -> SimConfig:
+    """The SimConfig of a --config object: every number but noise is a count."""
+    unknown = set(obj) - set(SimConfig.__dataclass_fields__)
+    if unknown:
+        raise ValidationError(f"unknown simulation config keys: {sorted(unknown)}")
+    fields = dict(obj)
+    for name in ("k", "n", "seed", "ensemble_size", "counts_total", "noise"):
+        if name in fields:
+            fields[name] = _number(fields[name], f"simulation config {name}",
+                                   count=name != "noise")
+    if "deltas" in fields:
+        fields["deltas"] = tuple(_number(d, "simulation config deltas")
+                                 for d in _list(fields, "deltas", "simulation config"))
+    return SimConfig(**fields)
+
+
 def parse_corpus_doc(obj: dict) -> tuple:
     doc_id = _str(obj, "doc_id", "corpus document")
     return doc_id, list(_strs(obj, "sections", f"document {doc_id}"))
@@ -188,7 +217,7 @@ def ground_truth_to_dict(record: GroundTruthRecord) -> dict:
     if record.discarded:
         out["reason"] = record.reason
     else:
-        out["p_star"] = record.p_star.to_dict()
+        out["p_star"] = categorical_to_dict(record.p_star)
     return out
 
 
@@ -205,7 +234,7 @@ def parse_ground_truth(obj: dict) -> GroundTruthRecord:
         freqs = np.array(counts, dtype=float)
         if freqs.sum() == 0:
             raise ValidationError(f"{context}: counts sum to 0")
-        p_star = Categorical.from_dict(_require(obj, "p_star", context))
+        p_star = parse_categorical(_require(obj, "p_star", context), f"{context}: p_star")
         if p_star.classes != answers:
             raise ValidationError(f"{context}: p_star classes differ from answers")
         # eval takes its truth from the counts, so p_star must be counts / sum(counts)
@@ -233,7 +262,8 @@ def parse_prediction(obj: dict) -> AnswerSampleSet:
     if ensemble is not None:
         if not isinstance(ensemble, list) or not ensemble:
             raise ValidationError(f"{context}: ensemble must be a non-empty list")
-        members = tuple(Categorical.from_dict(m) for m in ensemble)
+        members = tuple(parse_categorical(m, f"{context}: ensemble[{i}]")
+                        for i, m in enumerate(ensemble))
     best = obj.get("best_answer_prob")
     return AnswerSampleSet(qid, samples, None if best is None else _number(best, context), members)
 

@@ -21,14 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-# bench/tracer.py wraps alpha_delta and gamma_delta here; nothing calls them
-from .bounds import (BoundQuery, alpha_delta, eu_lower_bound_high_entropy, gamma_delta,
+# bench/tracer.py wraps alpha_delta here; nothing calls it
+from .bounds import (EDGE, BoundQuery, alpha_delta, eu_lower_bound_high_entropy, gamma_delta,
                      thm2_probability_bound)
 from .dirichlet import expected_epistemic, posterior
 from .dist import Categorical, row_cross_entropy, row_entropy, row_kl
-from .errors import ConfigurationError, DegenerateInputError, ValidationError
+from .errors import ConfigurationError, DegenerateInputError, DomainError, ValidationError
 from .estimators import ensemble_mean_mi
-from .formats import _list, _number
 from .metrics import EvalRecord, concordance
 
 ZERO_AU = "zero-AU"
@@ -72,25 +71,10 @@ class SimConfig:
         if self.counts_total < 0:
             raise ValidationError("counts_total must be >= 0")
         for d in self.deltas:
-            if not (0.0 <= d <= math.log(self.k) + 1e-12):
+            if not (0.0 <= d <= math.log(self.k) + EDGE):
                 raise ValidationError(
                     f"delta={d} outside [0, ln k] for k={self.k}"
                 )
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SimConfig":
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown simulation config keys: {sorted(unknown)}")
-        fields = dict(obj)
-        for name in ("k", "n", "seed", "ensemble_size", "counts_total", "noise"):
-            if name in fields:  # every number but noise is a count
-                fields[name] = _number(fields[name], f"simulation config {name}",
-                                       count=name != "noise")
-        if "deltas" in fields:
-            fields["deltas"] = tuple(_number(d, "simulation config deltas")
-                                     for d in _list(fields, "deltas", "simulation config"))
-        return cls(**fields)
 
 
 def _classes(k: int) -> tuple:
@@ -192,9 +176,14 @@ def _verify_thm1(delta: float, k: int, se: np.ndarray, eu: np.ndarray) -> dict:
 
 def _verify_thm2(delta: float, se: np.ndarray, eu: np.ndarray) -> dict:
     out = {"delta": delta}
-    if not (0.0 < delta <= math.log(2.0) + 1e-12):
+    try:
+        gamma = gamma_delta(delta)
+    except DomainError:
+        gamma = None
+    if gamma is None or gamma == 1.0:  # 1.0 at delta = 0, and below about 4e-15
         out["applicable"] = False
-        out["note"] = "delta outside (0, ln 2]"
+        out["note"] = ("delta outside (0, ln 2]" if gamma is None
+                       else "gamma_delta rounds to 1 at this delta; the bound is undefined")
         return out
     low = se <= delta
     p_low = float(low.mean())

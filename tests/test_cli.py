@@ -241,6 +241,29 @@ class TestBuildGT:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_filter_cmd_reply_must_be_yes_or_no(self, tmp_path, fixture_corpus, fixture_specs,
+                                                capsys):
+        vague = tmp_path / "vague.py"
+        vague.write_text("import sys\nfor line in sys.stdin:\n    print('maybe', flush=True)\n")
+        out = tmp_path / "gt.jsonl"
+        code = main(["build-gt", "--corpus", str(fixture_corpus), "--specs", str(fixture_specs),
+                     "--out", str(out), "--filter-cmd", f"{sys.executable} {vague}"])
+        assert code == 2
+        assert "replied 'maybe'; expected yes/no" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_filter_cmd_and_filter_file_are_exclusive(self, tmp_path, fixture_corpus,
+                                                      fixture_specs, filter_script, capsys):
+        decisions = tmp_path / "decisions.jsonl"
+        decisions.write_text("")
+        out = tmp_path / "gt.jsonl"
+        code = main(["build-gt", "--corpus", str(fixture_corpus), "--specs", str(fixture_specs),
+                     "--out", str(out), "--filter-cmd", f"{sys.executable} {filter_script}",
+                     "--filter-file", str(decisions)])
+        assert code == 2
+        assert "--filter-cmd and --filter-file are mutually exclusive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_filter_cmd(self, tmp_path, fixture_corpus, fixture_specs, filter_script):
         # fuel gets zero counts, so q-fire must land in the discard log
         out, log = build_gt(
@@ -404,6 +427,18 @@ class TestEval:
         assert [r["gamma"] for r in rows if r["estimator"] == "SE"] == [
             "1.0", "2.0", "5.0", "10.0", "100.0", "point",
         ]
+
+    def test_discarded_ground_truth_row_is_skipped(
+        self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions, capsys
+    ):
+        gt, log = build_gt(tmp_path, fixture_corpus, fixture_specs)
+        both = tmp_path / "both.jsonl"
+        both.write_text(gt.read_text() + log.read_text())
+        capsys.readouterr()
+        code, records, _ = self.run_eval(tmp_path, both, fixture_predictions)
+        assert code == 0
+        assert "q-dead: ground truth is discarded; skipped" in capsys.readouterr().err
+        assert [r["question_id"] for r in read_jsonl(records)] == ["q-fire", "q-frozen"]
 
     def test_ablation_defaults_next_to_metrics(
         self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions, monkeypatch
@@ -743,6 +778,30 @@ class TestBounds:
         assert "--avg-loss" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gamma_delta_is_the_bounds_value(self, capsys):
+        # the float just above ln 2 lies inside gamma_delta's endpoint slack
+        delta = "0.6931471805600453"
+        assert float(delta) > LN2
+        assert main(["bounds", "--k", "3", "--delta", delta, "--avg-loss", "0.1",
+                     "--p-low-entropy", "0.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["gamma_delta"] == report["thm2"]["gamma_delta"] == 0.5
+        assert report["gamma_delta"] == bounds.gamma_delta(float(delta))
+
+    @pytest.mark.parametrize("delta, gamma", [("0", 1.0), ("1.0", None)])
+    def test_gamma_delta_at_the_domain_edges(self, capsys, delta, gamma):
+        assert main(["bounds", "--k", "3", "--delta", delta]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma_delta"] == gamma
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--delta", "0.5", "--avg-loss", "0.1"],
+         "--avg-loss and --p-low-entropy must be given together"),
+        (["--delta", "nan"], "--delta/--k: delta must be finite, got nan"),
+    ], ids=["avg-loss-alone", "delta-nan"])
+    def test_flag_errors_exit_2(self, capsys, extra, message):
+        assert main(["bounds", "--k", "3", *extra]) == 2
+        assert message in capsys.readouterr().err
+
     def test_huge_k_rejected(self, capsys):
         assert main(["bounds", "--k", "9" * 401, "--delta", "0.5"]) == 2
         err = capsys.readouterr().err
@@ -806,6 +865,25 @@ class TestSimulate:
                                                  e["p_low_entropy"])
             got = {name: e[name] for name in ("gamma_delta", "eu_cap", "prob_lower_bound")}
             assert repr(got) == repr(dataclasses.asdict(want))
+
+    def test_thm2_not_applicable_where_gamma_delta_rounds_to_1(self, tmp_path):
+        # near-certain predictions: some have SE <= 1e-16, where gamma_delta is 1
+        config = {"k": 2, "n": 2000, "noise": 1e6, "deltas": [1e-16, 0.5, 0.0], "seed": 3}
+        code, _, report_path = self.run_sim(tmp_path, config)
+        assert code == 0
+        tiny, half, zero = json.loads(report_path.read_text())["theorem_2"]
+        assert bounds.gamma_delta(1e-16) == 1.0
+        undefined = {"applicable": False,
+                     "note": "gamma_delta rounds to 1 at this delta; the bound is undefined"}
+        assert tiny == {"delta": 1e-16, **undefined}
+        assert zero == {"delta": 0.0, **undefined}
+        assert half["applicable"] is True
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        code, out, report = self.run_sim(tmp_path, [1])
+        assert code == 2
+        assert "--config must contain a JSON object" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         config = {"k": 3, "n": 300, "seed": 5, "regime": "free-AU"}
@@ -992,6 +1070,16 @@ class TestMetricsCommand:
         assert "--deltas values must be finite and > 0" in capsys.readouterr().err
         assert not metrics.exists() and not hist.exists()
 
+    def test_non_numeric_deltas_rejected(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        write_jsonl(records, [{"question_id": "q0", "true_eu": 0.1, "scores": {"SE": 0.2}}])
+        metrics = tmp_path / "m.csv"
+        code = main(["metrics", "--records", str(records), "--metrics-out", str(metrics),
+                     "--deltas", "0.5,abc"])
+        assert code == 2
+        assert "--deltas: expected comma-separated numbers" in capsys.readouterr().err
+        assert not metrics.exists()
+
 
 def test_bench_tracer_finds_every_name_it_wraps():
     # bench/tracer.py wraps names that cli, simlab, formats and corpus bind;
@@ -1004,6 +1092,45 @@ def test_bench_tracer_finds_every_name_it_wraps():
         cwd=root, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_runs_every_subcommand(tmp_path, fixture_corpus, fixture_specs,
+                                            fixture_predictions):
+    # the wrappers read the arguments and results of the calls they wrap
+    # (after_align reads result[1].classes), so a change to a wrapped
+    # function's signature or return shape breaks every traced run
+    root = Path(__file__).resolve().parents[1]
+    accept_all = tmp_path / "accept_all.py"
+    accept_all.write_text("import sys\nfor line in sys.stdin:\n    print('yes', flush=True)\n")
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"k": 3, "n": 300, "seed": 1, "deltas": [0.25, 0.5],
+                                  "ensemble_size": 2, "counts_total": 20}))
+    gt, records = tmp_path / "gt.jsonl", tmp_path / "sim.jsonl"
+    commands = {
+        "build-gt": ["build-gt", "--corpus", fixture_corpus, "--specs", fixture_specs,
+                     "--out", gt, "--filter-cmd", f"{sys.executable} {accept_all}"],
+        "eval": ["eval", "--ground-truth", gt, "--predictions", fixture_predictions,
+                 "--records-out", tmp_path / "eval.jsonl",
+                 "--metrics-out", tmp_path / "eval.csv", "--dirichlet-gamma", "1,2,5"],
+        "simulate": ["simulate", "--config", config, "--out", records,
+                     "--report", tmp_path / "report.json",
+                     "--ablation-csv", tmp_path / "ablation.csv", "--gammas", "1,2"],
+        "metrics": ["metrics", "--records", records, "--metrics-out", tmp_path / "m.csv"],
+        "bounds": ["bounds", "--k", "3", "--delta", "0.5", "--avg-loss", "0.1",
+                   "--p-low-entropy", "0.5", "--out", tmp_path / "bounds.json"],
+    }
+    plan, out = tmp_path / "plan.json", tmp_path / "trace.json"
+    plan.write_text(json.dumps({"commands": [
+        {"name": name, "args": [str(a) for a in args]} for name, args in commands.items()]}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "bench"]),
+           "PYTHONDONTWRITEBYTECODE": "1"}  # leave bench/ as it is
+    proc = subprocess.run(
+        [sys.executable, "bench/tracer.py", str(plan), str(out), str(tmp_path / "spans.jsonl"),
+         "0"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["rc"] == {name: 0 for name in commands}
 
 
 class TestOutputsOnFailure:
@@ -1065,8 +1192,7 @@ class TestOutputsOnFailure:
 # Names that bench/tracer.py wraps in these modules although src/ calls them
 # nowhere. Each one leaves this list once the benchmark stops wrapping it.
 TRACER_ONLY_IMPORTS = {("cli", "decompose"), ("cli", "expected_epistemic"),
-                       ("cli", "posterior"), ("simlab", "alpha_delta"),
-                       ("simlab", "gamma_delta")}
+                       ("cli", "posterior"), ("simlab", "alpha_delta")}
 
 
 def test_every_import_is_used():
@@ -1085,3 +1211,23 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == TRACER_ONLY_IMPORTS
+
+
+def test_no_module_uses_another_modules_private_names():
+    # a _name is its module's own; another module that needs it needs a public name
+    src = Path(ambiuq.__file__).resolve().parent
+    private = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # names bound to ambiuq modules: `from . import formats`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module != "__future__":
+                names = {alias.name for alias in node.names}
+                if node.module is None:
+                    modules |= {alias.asname or alias.name for alias in node.names}
+                private |= {(path.stem, f"{node.module}.{name}") for name in names
+                            if name.startswith("_")}
+        private |= {(path.stem, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")}
+    assert private == set()

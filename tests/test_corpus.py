@@ -52,6 +52,14 @@ class TestChunking:
         # pieces are whole sentences: joining them reconstructs the input
         assert " ".join(c.text for c in chunks) == text
 
+    def test_oversized_sentence_is_hard_split(self):
+        long = "a" * 4500 + " end."
+        chunks = make_chunks(["Intro sentence. " + long])
+        assert [c.text for c in chunks] == [
+            "Intro sentence.", long[:2000], long[2000:4000], long[4000:],
+        ]
+        assert [c.chunk_id for c in chunks] == [f"doc:0.{i}" for i in range(4)]
+
     def test_empty_document_yields_nothing(self):
         assert list(chunk_corpus([("doc", [])])) == []
         assert list(chunk_corpus([("doc", ["   "])])) == []

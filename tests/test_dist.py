@@ -18,6 +18,7 @@ from ambiuq.dist import (
     row_kl,
 )
 from ambiuq.errors import DegenerateInputError, SupportError, ValidationError
+from ambiuq.formats import categorical_to_dict, parse_categorical
 
 
 def cat(probs, classes=None):
@@ -73,8 +74,9 @@ class TestCategorical:
             Categorical((), [])
 
     def test_round_trips_to_dict(self):
+        # the {classes, probs} wire format is read and written in formats
         c = cat([0.25, 0.75], classes=("x", "y"))
-        assert Categorical.from_dict(c.to_dict()) == c
+        assert parse_categorical(categorical_to_dict(c), "c") == c
 
 
 class TestEntropy:

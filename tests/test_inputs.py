@@ -124,15 +124,18 @@ PARSERS = {
         ("gt", "counts", [3], "1 counts for 2 answers"),
         ("gt", "discarded", "no", "discarded must be true or false"),
         ("gt", "discarded", 0, "discarded must be true or false"),
-        ("gt", "p_star", {"classes": "hf", "probs": [0.5, 0.5]}, "bad categorical object"),
-        ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": "ab"}, "bad categorical object"),
+        ("gt", "p_star", {"classes": "hf", "probs": [0.5, 0.5]},
+         "record q: p_star: classes must be a list"),
+        ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": "ab"},
+         "record q: p_star: probs must be a list"),
         ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": [True, False]},
-         "bad categorical object"),
+         "record q: p_star: probs: expected a number, got true"),
         ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": ["a", "b"]},
-         "bad categorical object: could not convert"),
+         "record q: p_star: probs: could not convert"),
         ("pred", "samples", [{"text": "heat", "seq_prob": True}], "expected a number, got true"),
         ("pred", "best_answer_prob", True, "expected a number, got true"),
-        ("pred", "ensemble", [{"classes": "ab", "probs": [0.5, 0.5]}], "bad categorical object"),
+        ("pred", "ensemble", [{"classes": "ab", "probs": [0.5, 0.5]}],
+         "prediction q: ensemble[0]: classes must be a list"),
         ("eval", "true_eu", True, "expected a number, got true"),
         pytest.param("eval", "true_eu", 10**400, "int too large to convert to float",
                      id="eval-true_eu-400-digits"),
@@ -152,19 +155,29 @@ PARSERS = {
         ("gt", "question_id", None, "question_id must be a string, got null"),
         ("gt", "answers", ["heat", 1], "answers must be a list of strings"),
         ("gt", "p_star", {"classes": [1, 2], "probs": [2 / 3, 1 / 3]},
-         "bad categorical object: classes must be a list of strings"),
+         "record q: p_star: classes must be a list of strings"),
         ("pred", "question_id", False, "question_id must be a string, got false"),
         ("pred", "samples", [{"text": 1, "seq_prob": 0.5}], "text must be a string, got 1"),
         ("pred", "samples", [{"text": "heat", "seq_prob": 0.5, "cluster": ["h"]}],
          'cluster must be a string, got ["h"]'),
         ("pred", "ensemble", [{"classes": [None, "fuel"], "probs": [0.5, 0.5]}],
-         "bad categorical object: classes must be a list of strings"),
+         "prediction q: ensemble[0]: classes must be a list of strings"),
         ("eval", "question_id", 1.5, "question_id must be a string, got 1.5"),
         # a kept row's p_star is counts / sum(counts)
         ("gt", "counts", [0, 0], "counts sum to 0"),
         ("gt", "counts", [1, 1], "p_star differs from counts / sum(counts)"),
         ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": [0.67, 0.33]},
          "p_star differs from counts / sum(counts)"),
+        # a categorical object is an object holding both fields
+        ("gt", "p_star", [2 / 3, 1 / 3], "record q: p_star must be an object"),
+        ("pred", "ensemble", [PRED["ensemble"][0], {"classes": ["heat"]}],
+         "prediction q: ensemble[1]: missing required field 'probs'"),
+        # value checks behind the type checks
+        ("spec", "keywords", [], "q: keywords must be non-empty"),
+        ("spec", "answers", [], "q: answers must be non-empty"),
+        ("gt", "p_star", {"classes": ["fuel", "heat"], "probs": [1 / 3, 2 / 3]},
+         "record q: p_star classes differ from answers"),
+        ("pred", "best_answer_prob", 1.5, "q: best_answer_prob must be in (0, 1]"),
     ],
 )
 def test_json_types_at_the_boundary(tmp_path, kind, field, value, message):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ambiuq.dirichlet import expected_epistemic, posterior
 from ambiuq.dist import row_entropy, row_kl
 from ambiuq.errors import ConfigurationError, DegenerateInputError, ValidationError
+from ambiuq.formats import parse_sim_config
 from ambiuq.metrics import EvalRecord, concordance, score_columns
 from ambiuq.simlab import (
     FREE_AU,
@@ -38,14 +39,22 @@ class TestConfig:
                 SimConfig(noise=noise)
         with pytest.raises(ValidationError):
             SimConfig(k=3, deltas=(math.log(3) + 0.2,))
+        # built directly, past the --config reader's count checks
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            SimConfig(seed=-1)
+        with pytest.raises(ValidationError, match="ensemble_size must be >= 1"):
+            SimConfig(ensemble_size=0)
+        with pytest.raises(ValidationError, match="counts_total must be >= 0"):
+            SimConfig(counts_total=-1)
 
+    # the --config object is parsed by formats.parse_sim_config
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValidationError):
-            SimConfig.from_dict({"k": 3, "mystery": 1})
+        with pytest.raises(ValidationError, match=r"config keys: \['mystery'\]"):
+            parse_sim_config({"k": 3, "mystery": 1})
 
     def test_from_dict_round_trip(self):
-        cfg = SimConfig.from_dict({"k": 4, "n": 10, "seed": 3, "regime": "free-AU"})
-        assert cfg.k == 4 and cfg.regime == FREE_AU
+        cfg = parse_sim_config({"k": 4, "n": 10, "seed": 3, "regime": "free-AU"})
+        assert cfg == SimConfig(k=4, n=10, seed=3, regime=FREE_AU)
 
 
 class TestSampleTruth:
