@@ -28,7 +28,7 @@ from . import formats
 from . import simlab
 # bench/tracer.py wraps decompose, expected_epistemic and posterior here; nothing calls them
 from .dirichlet import expected_epistemic, posterior
-from .dist import decompose, row_entropy
+from .dist import canonical_merge, decompose, row_entropy
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -41,7 +41,6 @@ from .estimators import (
     EquivalenceMap,
     align,
     align_ensemble,
-    canonical_merge,
     cluster,
     msp,
     mutual_information,
@@ -79,6 +78,18 @@ def _parse_gammas(text: str, flag: str):
 
 def _parse_deltas(text: str):
     return _parse_float_list(text, "--deltas", "finite and > 0", lambda d: 0.0 < d < math.inf)
+
+
+# the largest accepted value runs in a few seconds (README)
+MAX_BOUND_LINE_POINTS = 100_000
+MAX_HIST_BINS = 1_000_000
+
+
+def _check_size(value: int, flag: str, low: int, high: int) -> None:
+    if value < low:
+        raise ValidationError(f"{flag} must be >= {low}, got {value}")
+    if value > high:
+        raise ValidationError(f"{flag} must be <= {high}, got {value}")
 
 
 FILTER_TIMEOUT_S = 30.0  # longest wait for a --filter-cmd reply, or for its exit
@@ -274,7 +285,7 @@ def cmd_eval(args) -> int:
         gt, pred = gt_records[qid], predictions[qid]
         p_model = cluster(pred, eq)
         p_star_aligned, p_model_aligned = align(gt.p_star, p_model, eq, epsilon=args.epsilon)
-        counts = canonical_merge(gt.answers, gt.counts, eq)
+        counts = canonical_merge(gt.answers, gt.counts, eq.canonical)
         counts_list.append(np.array([counts.get(c, 0.0) for c in p_star_aligned.classes]))
         model_list.append(p_model_aligned.probs)
         scores = {"SE": semantic_entropy(p_model)}
@@ -328,8 +339,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.bound_line_points < 0:
-        raise ValidationError("--bound-line-points must be >= 0")
+    _check_size(args.bound_line_points, "--bound-line-points", 0, MAX_BOUND_LINE_POINTS)
     try:
         query = bounds_mod.BoundQuery(k=args.k, delta=args.delta)
         a_delta = bounds_mod.alpha_delta(query)
@@ -380,8 +390,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.hist_bins < 1:
-        raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
+    _check_size(args.hist_bins, "--hist-bins", 1, MAX_HIST_BINS)
     raw = formats.read_json_object(args.config, "--config")
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -413,8 +422,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    if args.hist_bins < 1:
-        raise ValidationError(f"--hist-bins must be >= 1, got {args.hist_bins}")
+    _check_size(args.hist_bins, "--hist-bins", 1, MAX_HIST_BINS)
     deltas = _parse_deltas(args.deltas)
     true_eu, columns, errors = formats.read_eval_columns(args.records)
     for lineno, message in errors:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .dist import Categorical, normalize, row_js
+from .dist import Categorical, canonical_merge, normalize, row_js
 from .errors import DegenerateInputError, ValidationError
 from .porter import stem
 
@@ -254,16 +254,10 @@ def cross_validate(a: Sequence[GroundTruthRecord], b: Sequence[GroundTruthRecord
     shared = sorted(set(by_id_a) & set(by_id_b))
     if not shared:
         raise DegenerateInputError("no shared non-discarded question_ids")
-    def keyed(record):
-        out = {}
-        for ans, p in zip(record.answers, record.p_star.probs):
-            key = answer_key(ans)
-            out[key] = out.get(key, 0.0) + float(p)
-        return out
-
     results = []
     for qid in shared:
-        pa, pb = keyed(by_id_a[qid]), keyed(by_id_b[qid])
+        pa, pb = (canonical_merge(r.answers, r.p_star.probs, answer_key)
+                  for r in (by_id_a[qid], by_id_b[qid]))
         keys = list(dict.fromkeys([*pa, *pb]))
         va = np.array([pa.get(k, 0.0) for k in keys])
         vb = np.array([pb.get(k, 0.0) for k in keys])

@@ -85,15 +85,15 @@ class Decomposition:
     epistemic: float
 
 
-def row_entropy(p: np.ndarray, axis: int = -1) -> np.ndarray | float:
-    """Shannon entropy -sum(p*ln p) along ``axis``, with 0*ln(0) = 0."""
+def row_entropy(p: np.ndarray) -> np.ndarray | float:
+    """Shannon entropy -sum(p*ln p) along the last axis, with 0*ln(0) = 0."""
     p = np.asarray(p, dtype=float)
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=axis)
+    return -terms.sum(axis=-1)
 
 
-def row_kl(p_star: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray | float:
-    """KL(p*||p) along ``axis``; +inf where p lacks support that p* has.
+def row_kl(p_star: np.ndarray, p: np.ndarray) -> np.ndarray | float:
+    """KL(p*||p) along the last axis; +inf where p lacks support that p* has.
 
     Computed as sum(p* * (ln p* - ln p)) over p* > 0, which makes
     KL(p||p) exactly 0.0 and KL(indicator||p) exactly -ln p[y*].
@@ -105,26 +105,36 @@ def row_kl(p_star: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray | fl
     log_p = np.where(mask, np.log(np.where(p > 0, p, 1.0)), 0.0)
     log_p = np.where(mask & (p <= 0), -np.inf, log_p)
     terms = np.where(mask, p_star * (log_ps - log_p), 0.0)
-    return terms.sum(axis=axis)
+    return terms.sum(axis=-1)
 
 
-def row_cross_entropy(p_star: np.ndarray, p: np.ndarray, axis: int = -1):
-    """-sum(p* ln p) along ``axis``; +inf where p lacks support that p* has."""
+def row_cross_entropy(p_star: np.ndarray, p: np.ndarray):
+    """-sum(p* ln p) along the last axis; +inf where p lacks support that p* has."""
     p_star = np.asarray(p_star, dtype=float)
     p = np.asarray(p, dtype=float)
     mask = p_star > 0
     log_p = np.where(mask, np.log(np.where(p > 0, p, 1.0)), 0.0)
     log_p = np.where(mask & (p <= 0), -np.inf, log_p)
-    return -np.where(mask, p_star * log_p, 0.0).sum(axis=axis)
+    return -np.where(mask, p_star * log_p, 0.0).sum(axis=-1)
 
 
-def row_js(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray | float:
-    """Jensen-Shannon divergence along ``axis``; symmetric, in [0, ln 2]."""
+def row_js(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
+    """Jensen-Shannon divergence along the last axis; symmetric, in [0, ln 2]."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     m = 0.5 * (p + q)
-    js = 0.5 * row_kl(p, m, axis=axis) + 0.5 * row_kl(q, m, axis=axis)
+    js = 0.5 * row_kl(p, m) + 0.5 * row_kl(q, m)
     return np.clip(js, 0.0, np.log(2.0))  # rounding can overshoot ln 2 at disjoint supports
+
+
+def canonical_merge(names, values, key) -> dict:
+    """{key(name): summed value} in order of first key: names that share a
+    key pool their values."""
+    out: dict = {}
+    for name, value in zip(names, values):
+        k = key(name)
+        out[k] = out.get(k, 0.0) + float(value)
+    return out
 
 
 def _require_same_classes(a: Categorical, b: Categorical) -> None:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import Categorical, entropy, row_kl
+from .dist import Categorical, canonical_merge, entropy, row_kl
 from .errors import EstimatorUnavailableError, ValidationError
 
 DEFAULT_EPSILON = 0.01
@@ -116,23 +116,12 @@ def cluster(sample_set: AnswerSampleSet, eq: Optional[EquivalenceMap] = None) ->
     normalized. Duplicate answer texts count once per occurrence; classes
     appear in order of first occurrence."""
     eq = eq or EquivalenceMap()
-    sums: dict = {}
-    for sample in sample_set.samples:
-        label = sample.cluster if sample.cluster is not None else sample.text
-        key = eq.canonical(label)
-        sums[key] = sums.get(key, 0.0) + sample.seq_prob
+    samples = sample_set.samples
+    sums = canonical_merge((s.text if s.cluster is None else s.cluster for s in samples),
+                           (s.seq_prob for s in samples), eq.canonical)
     total = sum(sums.values())
     classes = tuple(sums)
     return Categorical(classes, np.array([sums[c] / total for c in classes]))
-
-
-def canonical_merge(names, values, eq: EquivalenceMap) -> dict:
-    """Canonicalize names, summing the values of names that collide."""
-    out: dict = {}
-    for name, value in zip(names, values):
-        key = eq.canonical(name)
-        out[key] = out.get(key, 0.0) + float(value)
-    return out
 
 
 def _impute(model: dict, joint: tuple, epsilon: float) -> Categorical:
@@ -159,8 +148,8 @@ def align(
     result always satisfies the KL support precondition.
     """
     eq = eq or EquivalenceMap()
-    star = canonical_merge(p_star.classes, p_star.probs, eq)
-    model = canonical_merge(p_model.classes, p_model.probs, eq)
+    star = canonical_merge(p_star.classes, p_star.probs, eq.canonical)
+    model = canonical_merge(p_model.classes, p_model.probs, eq.canonical)
     joint = tuple(dict.fromkeys([*star, *model]))
     star_probs = np.array([star.get(c, 0.0) for c in joint])
     return Categorical(joint, star_probs), _impute(model, joint, epsilon)
@@ -172,7 +161,7 @@ def align_ensemble(
     """Align ensemble members onto their joint canonical support, imputing
     epsilon (then renormalizing) wherever a member lacks a class."""
     eq = eq or EquivalenceMap()
-    merged = [canonical_merge(m.classes, m.probs, eq) for m in members]
+    merged = [canonical_merge(m.classes, m.probs, eq.canonical) for m in members]
     joint = tuple(dict.fromkeys([c for m in merged for c in m]))
     return EnsemblePrediction(tuple(_impute(m, joint, epsilon) for m in merged))
 

@@ -163,8 +163,12 @@ def parse_categorical(value, context: str) -> Categorical:
     """The {"classes", "probs"} object that ``context`` names."""
     if not isinstance(value, dict):
         raise ValidationError(f"{context} must be an object")
-    return Categorical(_strs(value, "classes", context),
-                       [_number(p, f"{context}: probs") for p in _list(value, "probs", context)])
+    classes = _strs(value, "classes", context)
+    probs = [_number(p, f"{context}: probs") for p in _list(value, "probs", context)]
+    try:
+        return Categorical(classes, probs)
+    except ValidationError as exc:  # Categorical's value checks know no record
+        raise ValidationError(f"{context}: {exc}") from exc
 
 
 def categorical_to_dict(p: Categorical) -> dict:

@@ -144,7 +144,10 @@ def summarize(values, bins: int = 30) -> Summary:
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise DegenerateInputError("cannot summarize an empty collection")
-    counts, edges = np.histogram(arr, bins=bins)
+    try:
+        counts, edges = np.histogram(arr, bins=bins)
+    except ValueError as exc:  # a range too narrow for `bins` distinct edges
+        raise DegenerateInputError(f"histogram: {exc}") from exc
     return Summary(
         mean=float(arr.mean()),
         std=float(arr.std(ddof=0)),

@@ -59,46 +59,36 @@ def _ends_cvc(word: str) -> bool:
     )
 
 
-def _longest_rule(word: str, rules):
-    match = None
-    for suffix, replacement, min_measure in rules:
-        if word.endswith(suffix) and (match is None or len(suffix) > len(match[0])):
-            match = (suffix, replacement, min_measure)
-    return match
+# steps 2-4: suffix -> replacement; the rule fires when the stem's measure m
+# is above the step's threshold (0 in steps 2 and 3, 1 in step 4)
+_STEP2 = {
+    "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance", "izer": "ize",
+    "abli": "able", "alli": "al", "entli": "ent", "eli": "e", "ousli": "ous",
+    "ization": "ize", "ation": "ate", "ator": "ate", "alism": "al", "iveness": "ive",
+    "fulness": "ful", "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
+}
+_STEP3 = {
+    "icate": "ic", "ative": "", "alize": "al", "iciti": "ic", "ical": "ic", "ful": "",
+    "ness": "",
+}
+_STEP4 = dict.fromkeys(
+    ("al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment", "ent",
+     "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize"), "")
+_LONGEST_SUFFIX = max(len(s) for rules in (_STEP2, _STEP3, _STEP4) for s in rules)
 
 
-def _apply(word: str, rules) -> str:
-    match = _longest_rule(word, rules)
-    if match is None:
-        return word
-    suffix, replacement, min_measure = match
-    stem = word[: len(word) - len(suffix)]
-    if min_measure is not None and _measure(stem) <= min_measure:
-        return word
-    return stem + replacement
-
-
-# (suffix, replacement, measure threshold m > t; None = unconditional)
-_STEP2 = [
-    ("ational", "ate", 0), ("tional", "tion", 0), ("enci", "ence", 0),
-    ("anci", "ance", 0), ("izer", "ize", 0), ("abli", "able", 0),
-    ("alli", "al", 0), ("entli", "ent", 0), ("eli", "e", 0),
-    ("ousli", "ous", 0), ("ization", "ize", 0), ("ation", "ate", 0),
-    ("ator", "ate", 0), ("alism", "al", 0), ("iveness", "ive", 0),
-    ("fulness", "ful", 0), ("ousness", "ous", 0), ("aliti", "al", 0),
-    ("iviti", "ive", 0), ("biliti", "ble", 0),
-]
-_STEP3 = [
-    ("icate", "ic", 0), ("ative", "", 0), ("alize", "al", 0),
-    ("iciti", "ic", 0), ("ical", "ic", 0), ("ful", "", 0), ("ness", "", 0),
-]
-_STEP4 = [
-    ("al", "", 1), ("ance", "", 1), ("ence", "", 1), ("er", "", 1),
-    ("ic", "", 1), ("able", "", 1), ("ible", "", 1), ("ant", "", 1),
-    ("ement", "", 1), ("ment", "", 1), ("ent", "", 1), ("ion", "", 1),
-    ("ou", "", 1), ("ism", "", 1), ("ate", "", 1), ("iti", "", 1),
-    ("ous", "", 1), ("ive", "", 1), ("ize", "", 1),
-]
+def _apply(word: str, rules: dict, m_above: int) -> str:
+    """One of steps 2-4: the longest suffix of ``word`` in ``rules`` selects
+    the rule, which fires if the stem's measure is above ``m_above`` (and,
+    for step 4's ION, the stem ends in s or t)."""
+    for n in range(min(len(word), _LONGEST_SUFFIX), 0, -1):
+        suffix = word[-n:]
+        if suffix in rules:
+            stem = word[:-n]
+            if _measure(stem) <= m_above or suffix == "ion" and not stem.endswith(("s", "t")):
+                return word
+            return stem + rules[suffix]
+    return word
 
 
 def _step1a(word: str) -> str:
@@ -133,19 +123,6 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _step4(word: str) -> str:
-    match = _longest_rule(word, _STEP4)
-    if match is None:
-        return word
-    suffix, _, _ = match
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) <= 1:
-        return word
-    if suffix == "ion" and not stem.endswith(("s", "t")):
-        return word
-    return stem
-
-
 def _step5a(word: str) -> str:
     if word.endswith("e"):
         stem = word[:-1]
@@ -171,9 +148,9 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply(word, _STEP2)
-    word = _apply(word, _STEP3)
-    word = _step4(word)
+    word = _apply(word, _STEP2, 0)
+    word = _apply(word, _STEP3, 0)
+    word = _apply(word, _STEP4, 1)
     word = _step5a(word)
     word = _step5b(word)
     return word

@@ -36,6 +36,9 @@ HIGH_AU = "high-AU"
 REGIMES = (ZERO_AU, FREE_AU, HIGH_AU)
 
 REJECTION_CAP = 1_000_000
+# array cells one population may draw: 40x the bench's and 8x the largest
+# test's; time and memory grow linearly up to it (README, "Size limits")
+MAX_CELLS = 50_000_000
 CONCENTRATION_FLOOR = 0.1  # keeps Dirichlet parameters positive at vertices
 HIGH_AU_GAP = 0.1
 BOUND_SLACK = 1e-9
@@ -70,6 +73,17 @@ class SimConfig:
             raise ValidationError("ensemble_size must be >= 1")
         if self.counts_total < 0:
             raise ValidationError("counts_total must be >= 0")
+        if self.counts_total > 2**63 - 1:  # numpy draws counts as C longs
+            raise ValidationError(f"counts_total must be <= 2**63 - 1, got {self.counts_total}")
+        # m ensemble members, or one truth and one prediction, of (n, k) each;
+        # the high-AU sampler may draw up to REJECTION_CAP truths
+        rows, what = self.n * max(self.ensemble_size, 2), "n*max(ensemble_size, 2)"
+        if self.regime == HIGH_AU and rows < REJECTION_CAP:
+            rows, what = REJECTION_CAP, f"{REJECTION_CAP} high-AU draws"
+        if self.k * rows > MAX_CELLS:
+            raise ValidationError(
+                f"k*{what} is over the budget of {MAX_CELLS} array cells "
+                f"(k={self.k}, n={self.n}, ensemble_size={self.ensemble_size})")
         for d in self.deltas:
             if not (0.0 <= d <= math.log(self.k) + EDGE):
                 raise ValidationError(

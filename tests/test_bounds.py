@@ -67,6 +67,11 @@ class TestBinaryEntropy:
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.0) == 0.0
 
+    @pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
+    def test_outside_unit_interval(self, gamma):
+        with pytest.raises(DomainError, match="outside"):
+            binary_entropy(gamma)
+
     def test_direct_evaluation(self):
         assert binary_entropy(0.8) == pytest.approx(0.5004024, abs=1e-4)
 

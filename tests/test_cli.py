@@ -4,8 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +242,17 @@ class TestBuildGT:
         assert "sent no reply in 0.5 s" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_close_kills_a_filter_that_outlives_stdin_eof(self, monkeypatch):
+        from ambiuq.cli import CommandFilter
+
+        # ignores stdin, so closing it does not end the child
+        monkeypatch.setattr(cli, "FILTER_TIMEOUT_S", 0.5)
+        accept = CommandFilter(f"{sys.executable} -c 'import time; time.sleep(60)'")
+        start = time.monotonic()
+        accept.close()
+        assert accept.proc.returncode == -signal.SIGKILL
+        assert time.monotonic() - start < 30
 
     def test_filter_cmd_reply_must_be_yes_or_no(self, tmp_path, fixture_corpus, fixture_specs,
                                                 capsys):

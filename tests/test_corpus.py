@@ -202,6 +202,13 @@ class TestGroundTruth:
         assert "plutonium" in record.reason
         assert record.p_star is None
 
+    def test_spec_with_no_term_is_discarded_with_zero_counts(self):
+        spec = QuestionSpec("q-punct", "?", ("!!!",), ("?",))
+        (record,) = build_ground_truth(fixture_index(), [spec])
+        assert record.discarded and record.p_star is None
+        assert record.counts == (0,) and record.raw_matches == (0,)
+        assert record.reason == "zero counts for answers: ['?']"
+
     def test_dataset_membership_rule(self):
         records = build_ground_truth(fixture_index(), [FIRE_SPEC, FROZEN_SPEC, DEAD_SPEC])
         kept = {r.question_id for r in records if not r.discarded}

@@ -73,6 +73,17 @@ class TestCategorical:
         with pytest.raises(ValidationError):
             Categorical((), [])
 
+    def test_equality_and_hash(self):
+        a, b = cat([0.25, 0.75]), cat([0.25, 0.75])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != cat([0.75, 0.25])
+        assert a.__eq__((("c0", "c1"), [0.25, 0.75])) is NotImplemented
+        assert a != (("c0", "c1"), [0.25, 0.75])
+
+    def test_rejects_2d_probs(self):
+        with pytest.raises(ValidationError, match="1-D vector"):
+            Categorical(("a", "b"), [[0.5, 0.5]])
+
     def test_round_trips_to_dict(self):
         # the {classes, probs} wire format is read and written in formats
         c = cat([0.25, 0.75], classes=("x", "y"))
@@ -246,6 +257,11 @@ class TestNormalize:
         a = normalize(counts)
         b = normalize(counts * 7.5)
         np.testing.assert_allclose(a.probs, b.probs, atol=1e-15)
+
+    @pytest.mark.parametrize("counts", [[[1, 2]], [], [1, -1], [1, float("nan")]])
+    def test_rejects_non_vector_or_negative_counts(self, counts):
+        with pytest.raises(ValidationError, match="counts must be"):
+            normalize(counts)
 
     def test_custom_classes(self):
         p = normalize([1, 3], classes=("x", "y"))

@@ -5,6 +5,7 @@ code, never coerced into a different value or left to end in a traceback."""
 import contextlib
 import io
 import json
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -177,6 +178,18 @@ PARSERS = {
         ("spec", "answers", [], "q: answers must be non-empty"),
         ("gt", "p_star", {"classes": ["fuel", "heat"], "probs": [1 / 3, 2 / 3]},
          "record q: p_star classes differ from answers"),
+        ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": [0.5, 0.2]},
+         "record q: p_star: probabilities sum to 0.7, not 1"),
+        ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": ["NaN", 0.5]},
+         "record q: p_star: probabilities must be finite"),
+        ("gt", "p_star", {"classes": ["heat", "fuel"], "probs": [1.0]},
+         "record q: p_star: 2 classes but 1 probabilities"),
+        ("gt", "p_star", {"classes": ["heat", "heat"], "probs": [2 / 3, 1 / 3]},
+         "record q: p_star: class identifiers must be unique"),
+        ("pred", "ensemble", [{"classes": ["heat", "fuel"], "probs": [0.9, 0.3]}],
+         "prediction q: ensemble[0]: probabilities sum to 1.2, not 1"),
+        ("pred", "ensemble", [PRED["ensemble"][0], {"classes": ["heat"], "probs": [-1.0]}],
+         "prediction q: ensemble[1]: probabilities must be non-negative"),
         ("pred", "best_answer_prob", 1.5, "q: best_answer_prob must be in (0, 1]"),
     ],
 )
@@ -381,15 +394,6 @@ FUZZ = settings(max_examples=40, deadline=None,
 
 
 @FUZZ
-@given(records=jsonl(EVAL_ROWS), deltas=st.sampled_from(["0.3", "0.3,1"]))
-def test_fuzz_metrics(tmp_path_factory, records, deltas):
-    folder = fuzz_files(tmp_path_factory, **{"records.jsonl": records})
-    code, _ = run(["metrics", "--records", folder / "records.jsonl", "--deltas", deltas,
-                   "--metrics-out", folder / "m.csv", "--hist-out", folder / "h.csv"])
-    assert code in {0, 1, 2, 3}
-
-
-@FUZZ
 @given(gt=jsonl(gt_rows()), preds=jsonl(pred_rows()),
        gammas=st.sampled_from([[], ["--dirichlet-gamma", "2"], ["--dirichlet-gamma", "1,5"]]),
        equivalence=st.sampled_from([None, None, None, b'{"It\'s Heat": "heat"}', b'{"x": 1}']))
@@ -417,3 +421,173 @@ def test_fuzz_build_gt(tmp_path_factory, corpus, specs, cap, decisions):
                    "--specs", folder / "specs.jsonl", "--out", folder / "gt.jsonl",
                    "--cap", cap, *extra])
     assert code in {0, 1, 2, 3}
+
+
+# --- size knobs, --config objects and numeric flags: simulate, bounds, metrics
+
+EXAMPLE_SECONDS = 10  # wall-clock bound on one command; a hang fails the example
+
+
+class Overtime(BaseException):
+    """Raised into a command that outlives EXAMPLE_SECONDS. A BaseException,
+    so that no handler in the command can take it for an error of its own."""
+
+
+def run_bounded(argv):
+    """run(argv) under the EXAMPLE_SECONDS bound; an argparse rejection (a flag
+    value of the wrong type) counts as its exit code."""
+    def overtime(signum, frame):
+        raise Overtime(f"{argv[0]} ran past {EXAMPLE_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code, ""
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def simulate_argv(folder, config, *flags):
+    (folder / "sim.json").write_text(json.dumps(config))
+    return ["simulate", "--config", folder / "sim.json", "--out", folder / "o.jsonl",
+            "--report", folder / "r.json", *flags]
+
+
+def metrics_argv(folder, *flags, records=GOOD_RECORDS):
+    write_jsonl(folder / "records.jsonl", records)
+    return ["metrics", "--records", folder / "records.jsonl", "--metrics-out", folder / "m.csv",
+            "--hist-out", folder / "h.csv", "--deltas", "0.7", *flags]
+
+
+def bounds_argv(folder, *flags):
+    return ["bounds", "--k", "10", "--delta", "0.5", "--out", folder / "b.json", *flags]
+
+
+def not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def outputs(folder) -> set:
+    return {p.name for p in folder.iterdir()} - {"sim.json", "records.jsonl"}
+
+
+# each ended in a traceback, or ran without end, before the size limits
+OVERSIZED = {
+    "bound-line-points": (bounds_argv, ["--bound-line-points", 10**15], "--bound-line-points"),
+    "hist-bins": (metrics_argv, ["--hist-bins", 10**15], "--hist-bins"),
+    "k-and-n": (simulate_argv, [{"k": 10**8, "n": 10**8, "regime": "free-AU"}],
+                "k*n*max(ensemble_size, 2)"),
+    "counts_total": (simulate_argv, [{"k": 3, "n": 10, "counts_total": 10**20}], "counts_total"),
+    "k-301-digits": (simulate_argv, [{"k": 10**300, "n": 10}], "k*n*max(ensemble_size, 2)"),
+    "ensemble_size": (simulate_argv, [{"k": 3, "n": 10, "ensemble_size": 10**14}],
+                      "ensemble_size"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_size_over_its_limit_is_exit_2(tmp_path, name):
+    argv, args, field = OVERSIZED[name]
+    code, err = run_bounded(argv(tmp_path, *args))
+    assert code == 2
+    assert field in err
+    assert "Traceback" not in err
+    assert outputs(tmp_path) == set()
+
+
+@pytest.mark.parametrize("argv, flag, limit", [
+    (metrics_argv, "--hist-bins", cli.MAX_HIST_BINS),
+    (bounds_argv, "--bound-line-points", cli.MAX_BOUND_LINE_POINTS),
+])
+def test_a_flag_runs_up_to_its_limit(tmp_path, argv, flag, limit):
+    assert run_bounded(argv(tmp_path, flag, limit))[0] == 0
+    if flag == "--hist-bins":
+        assert len((tmp_path / "h.csv").read_text().splitlines()) == limit + 1
+    else:
+        assert len(json.loads((tmp_path / "b.json").read_text())["bound_line"]) == limit
+    code, err = run_bounded(argv(tmp_path, flag, limit + 1))
+    assert code == 2 and f"{flag} must be <= {limit}, got {limit + 1}" in err
+
+
+def test_histogram_of_a_subnormal_range_is_exit_3(tmp_path):
+    # found by test_fuzz_metrics: numpy cannot cut [0, 5e-324] into 2 bins
+    records = [{**GOOD_RECORDS[0], "true_eu": 0.0}, {**GOOD_RECORDS[1], "true_eu": 5e-324}]
+    code, err = run_bounded(metrics_argv(tmp_path, "--hist-bins", "2", records=records))
+    assert code == 3 and "degenerate input: histogram: Too many bins" in err
+    assert outputs(tmp_path) == set()
+
+
+HUGE = st.sampled_from([10**8, 10**14, 10**20, 2**63, 2**63 - 1, 10**300, 10**400, -1, 0])
+
+
+def maybe(strategy):
+    """A config field: well formed, huge, or any JSON value."""
+    return st.one_of(strategy, strategy, HUGE, VALUES)
+
+
+CONFIG_OBJECTS = st.fixed_dictionaries({}, optional={
+    "k": maybe(st.integers(2, 12)),
+    "n": maybe(st.integers(1, 40)),
+    "seed": maybe(st.integers(0, 2**32)),
+    "regime": maybe(st.sampled_from(["zero-AU", "free-AU", "high-AU"])),
+    "noise": maybe(st.one_of(st.floats(0.01, 100.0), st.sampled_from([1e-300, 1e300]))),
+    "deltas": maybe(st.lists(st.floats(0.0, 1.2), max_size=3)),
+    "ensemble_size": maybe(st.integers(1, 4)),
+    "counts_total": maybe(st.integers(0, 50)),
+})
+CONFIGS = st.one_of(CONFIG_OBJECTS, CONFIG_OBJECTS, CONFIG_OBJECTS, VALUES)
+# a numeric flag as argparse receives it: well formed, huge, non-finite, or not a number
+NUMBERS = st.one_of(st.integers(-2, 40), HUGE, st.floats(), st.just("abc")).map(str)
+
+
+def flag(strategy):
+    """A numeric flag: well formed, huge, or any of NUMBERS."""
+    return st.one_of(strategy.map(str), HUGE.map(str), NUMBERS)
+
+
+@FUZZ
+@given(config=CONFIGS, seed=st.one_of(st.none(), flag(st.integers(0, 2**32))),
+       hist_bins=st.one_of(st.none(), flag(st.integers(1, 50))), ablation=st.booleans())
+def test_fuzz_simulate(tmp_path_factory, config, seed, hist_bins, ablation):
+    folder = tmp_path_factory.mktemp("fuzz")
+    flags = ["--scatter-csv", folder / "s.csv", "--hist-csv", folder / "h.csv"]
+    flags += [] if seed is None else ["--seed", seed]
+    flags += [] if hist_bins is None else ["--hist-bins", hist_bins]
+    flags += ["--ablation-csv", folder / "a.csv", "--gammas", "1,5"] if ablation else []
+    code, err = run_bounded(simulate_argv(folder, config, *flags))
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err
+    if code != 0:
+        assert outputs(folder) == set()
+
+
+@FUZZ
+@given(k=flag(st.integers(2, 40)), delta=flag(st.floats(0.0, 0.7)),
+       thm2=st.one_of(st.none(), st.tuples(flag(st.floats(0.0, 2.0)), flag(st.floats(0.0, 1.0)))),
+       points=st.one_of(st.none(), flag(st.integers(0, 50))))
+def test_fuzz_bounds(tmp_path_factory, k, delta, thm2, points):
+    folder = tmp_path_factory.mktemp("fuzz")
+    argv = ["bounds", "--k", k, "--delta", delta, "--out", folder / "b.json"]
+    argv += [] if thm2 is None else ["--avg-loss", thm2[0], "--p-low-entropy", thm2[1]]
+    argv += [] if points is None else ["--bound-line-points", points]
+    code, err = run_bounded(argv)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads((folder / "b.json").read_text(), parse_constant=not_json)
+    else:
+        assert outputs(folder) == set()
+
+
+@FUZZ
+@given(records=jsonl(EVAL_ROWS), hist_bins=flag(st.integers(1, 50)),
+       deltas=st.lists(flag(st.floats(0.01, 2.0)), min_size=1, max_size=3).map(",".join))
+def test_fuzz_metrics(tmp_path_factory, records, hist_bins, deltas):
+    folder = fuzz_files(tmp_path_factory, **{"records.jsonl": records})
+    code, err = run_bounded(["metrics", "--records", folder / "records.jsonl",
+                             "--deltas", deltas, "--hist-bins", hist_bins,
+                             "--metrics-out", folder / "m.csv", "--hist-out", folder / "h.csv"])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err

@@ -1,14 +1,18 @@
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambiuq.porter import (
     _apply,
     _measure,
     _STEP2,
     _STEP3,
+    _STEP4,
     _step1a,
     _step1b,
     _step1c,
-    _step4,
     _step5a,
     _step5b,
     stem,
@@ -45,7 +49,10 @@ STEP4 = [("revival", "reviv"), ("allowance", "allow"), ("inference", "infer"),
          ("adoption", "adopt"), ("homologou", "homolog"),
          ("communism", "commun"), ("activate", "activ"),
          ("homologous", "homolog"), ("effective", "effect"),
-         ("bowdlerize", "bowdler")]
+         ("bowdlerize", "bowdler"), ("angulariti", "angular"),
+         # (m>1 and (*S or *T)) ION: the stem must end in s or t
+         ("division", "divis"), ("opinion", "opinion"), ("communion", "communion"),
+         ("champion", "champion")]
 STEP5A = [("probate", "probat"), ("rate", "rate"), ("cease", "ceas")]
 STEP5B = [("controll", "control"), ("roll", "roll")]
 
@@ -86,17 +93,17 @@ def test_step1c(word, expected):
 
 @pytest.mark.parametrize("word,expected", STEP2)
 def test_step2(word, expected):
-    assert _apply(word, _STEP2) == expected
+    assert _apply(word, _STEP2, 0) == expected
 
 
 @pytest.mark.parametrize("word,expected", STEP3)
 def test_step3(word, expected):
-    assert _apply(word, _STEP3) == expected
+    assert _apply(word, _STEP3, 0) == expected
 
 
 @pytest.mark.parametrize("word,expected", STEP4)
 def test_step4(word, expected):
-    assert _step4(word) == expected
+    assert _apply(word, _STEP4, 1) == expected
 
 
 @pytest.mark.parametrize("word,expected", STEP5A)
@@ -133,3 +140,45 @@ def test_idempotent_on_common_words():
     for word, _ in FULL:
         once = stem(word)
         assert stem(once) == stem(once)
+
+
+# --- reference: the longest-match rule selection by scanning every rule ------
+
+def reference_step(word: str, rules: dict, m_above: int) -> str:
+    """Steps 2-4 as first written: test every rule's suffix, keep the longest
+    match, then check its condition."""
+    match = None
+    for suffix in rules:
+        if word.endswith(suffix) and (match is None or len(suffix) > len(match)):
+            match = suffix
+    if match is None:
+        return word
+    base = word[: len(word) - len(match)]
+    if _measure(base) <= m_above:
+        return word
+    if match == "ion" and not base.endswith(("s", "t")):
+        return word
+    return base + rules[match]
+
+
+def reference_stem(word: str) -> str:
+    word = word.casefold()
+    if len(word) <= 2:
+        return word
+    word = _step1c(_step1b(_step1a(word)))
+    for rules, m_above in ((_STEP2, 0), (_STEP3, 0), (_STEP4, 1)):
+        word = reference_step(word, rules, m_above)
+    return _step5b(_step5a(word))
+
+
+SUFFIXES = sorted({*_STEP2, *_STEP3, *_STEP4, "s", "ies", "sses", "eed", "ed", "ing", "y"})
+WORDS = st.lists(st.one_of(st.sampled_from(string.ascii_lowercase), st.sampled_from(SUFFIXES)),
+                 min_size=1, max_size=6).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(word=WORDS)
+def test_stem_matches_the_scanning_reference(word):
+    assert stem(word) == reference_stem(word)
+    for rules, m_above in ((_STEP2, 0), (_STEP3, 0), (_STEP4, 1)):
+        assert _apply(word, rules, m_above) == reference_step(word, rules, m_above)

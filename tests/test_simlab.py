@@ -18,9 +18,11 @@ from ambiuq.simlab import (
     _sample_models,
     _sample_truths,
     gamma_ablation,
+    MAX_CELLS,
     run_experiment,
     sample_model,
     sample_truth,
+    support_groups,
 )
 
 LN2 = math.log(2.0)
@@ -55,6 +57,31 @@ class TestConfig:
     def test_from_dict_round_trip(self):
         cfg = parse_sim_config({"k": 4, "n": 10, "seed": 3, "regime": "free-AU"})
         assert cfg == SimConfig(k=4, n=10, seed=3, regime=FREE_AU)
+
+
+class TestSizeBudget:
+    def test_cells_up_to_the_budget_pass(self):
+        SimConfig(k=10, n=MAX_CELLS // 20)  # one truth and one prediction
+        SimConfig(k=10, n=MAX_CELLS // 50, ensemble_size=5)
+        SimConfig(k=50, n=10, regime=HIGH_AU)  # REJECTION_CAP draws of k
+        SimConfig(counts_total=2**63 - 1)
+
+    @pytest.mark.parametrize("fields, named", [
+        (dict(k=10, n=MAX_CELLS // 20 + 1), "k*n*max(ensemble_size, 2)"),
+        (dict(k=10, n=MAX_CELLS // 50, ensemble_size=6), "k*n*max(ensemble_size, 2)"),
+        (dict(k=51, n=10, regime=HIGH_AU), "k*1000000 high-AU draws"),
+        (dict(k=3, n=10, counts_total=2**63), "counts_total must be <= 2**63 - 1"),
+    ])
+    def test_over_the_budget_names_the_fields(self, fields, named):
+        with pytest.raises(ValidationError) as info:
+            SimConfig(**fields)
+        assert named in str(info.value)
+
+    def test_bench_and_test_populations_fit(self):
+        # simulate-metrics in bench/, and the largest populations of this suite
+        SimConfig(k=10, n=25_000, ensemble_size=5)
+        SimConfig(k=30, n=100_000)
+        SimConfig(k=30, n=100, regime=HIGH_AU)
 
 
 class TestSampleTruth:
@@ -250,6 +277,10 @@ class TestGammaAblation:
         point = next(r["concordance"] for r in rows if r["gamma"] == "point")
         gaps = [abs(v - point) for v in values]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+    def test_support_groups_need_one_model_per_counts_row(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            support_groups([[1, 2], [3, 4]], [[0.5, 0.5]])
 
     def test_ragged_supports_match_per_record_reference(self):
         rng = np.random.default_rng(11)
