@@ -9,7 +9,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
+from collections import defaultdict
 from typing import Iterable, Optional
 
 import numpy as np
@@ -18,8 +20,23 @@ from .corpus import GroundTruthRecord, QuestionSpec
 from .dist import SUM_TOL, Categorical
 from .errors import ValidationError
 from .estimators import AnswerSample, AnswerSampleSet
-from .metrics import EvalRecord, score_columns
+from .metrics import EvalRecord
 from .simlab import SimConfig
+
+
+_scan = json.decoder.JSONDecoder().scan_once
+
+
+def _decode(line: str):
+    """json.loads(line) for a stripped line: one call of the C scanner when
+    the value spans the line, else json.loads itself, for its exact error."""
+    try:
+        obj, end = _scan(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
 
 
 def _iter_jsonl(path, errors: list, parse):
@@ -36,7 +53,7 @@ def _iter_jsonl(path, errors: list, parse):
             try:
                 if not line.isascii():
                     line = line.encode("utf-8", "surrogateescape").decode("utf-8")
-                obj = json.loads(line)
+                obj = _decode(line)
             except (ValueError, RecursionError) as exc:
                 json_errors.append((lineno, f"invalid JSON: {exc}"))
                 continue
@@ -291,7 +308,8 @@ def write_eval_columns(path, question_ids, true_eu, scores: dict) -> None:
     names = sorted(scores)
     fields = ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in names)
     template = '{"question_id": %s, "scores": {' + fields + '}, "true_eu": %s}\n'
-    columns = [[json.dumps(qid) for qid in question_ids],
+    # json.dumps of a str is encode_basestring_ascii of it
+    columns = [list(map(json.encoder.encode_basestring_ascii, question_ids)),
                *(_json_floats(scores[name]) for name in names), _json_floats(true_eu)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(template % row for row in zip(*columns))
@@ -307,16 +325,34 @@ def parse_eval_record(obj: dict) -> EvalRecord:
                       {str(k): _number(v, context) for k, v in scores.items()})
 
 
+def _finite_floats(values) -> bool:
+    """Whether every value is a float but NaN and ±inf (JSON 1 and true are not)."""
+    for value in values:
+        if type(value) is not float or not -math.inf < value < math.inf:
+            return False
+    return True
+
+
 def read_eval_columns(path) -> tuple:
     """Stream an eval-record JSONL file into (true_eu, score_columns, errors),
     keeping no record past its line; the (lineno, message) errors are ordered
-    as _iter_jsonl orders them."""
-    errors, true_eu = [], []
+    as _iter_jsonl orders them. A row of a string id and exact floats goes
+    straight into the columns; parse_eval_record takes every other row."""
+    errors, true_eu, columns = [], [], defaultdict(lambda: ([], []))
 
-    def records():
-        for _, record in _iter_jsonl(path, errors, parse_eval_record):
-            true_eu.append(record.true_eu)
-            yield record
+    def add(obj):
+        t, scores = obj.get("true_eu"), obj.get("scores")
+        if not (type(obj.get("question_id")) is str and type(t) is float and 0.0 <= t < math.inf
+                and type(scores) is dict and _finite_floats(scores.values())):
+            record = parse_eval_record(obj)
+            t, scores = record.true_eu, record.scores
+        true_eu.append(t)
+        for name, value in scores.items():
+            truth, score = columns[name]
+            truth.append(t)
+            score.append(value)
 
-    columns = score_columns(records())
-    return true_eu, columns, errors
+    for _ in _iter_jsonl(path, errors, add):
+        pass
+    return true_eu, {name: tuple(np.array(col, dtype=float) for col in columns[name])
+                     for name in sorted(columns)}, errors

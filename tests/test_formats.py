@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 from types import SimpleNamespace
 
@@ -7,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambiuq import cli
+from ambiuq import cli, formats
 from ambiuq.errors import DegenerateInputError, ValidationError
 from ambiuq.formats import (
     eval_record_to_dict,
     parse_eval_record,
     read_eval_columns,
-    read_jsonl,
     staged_writes,
     write_csv,
     write_eval_columns,
@@ -45,10 +45,58 @@ MALFORMED_LINES = [
     '{"question_id": "nd", "true_eu": 0.7, "scores": {"SE": {}}}',
     "42",
     "null",
+    # the edges of read_eval_columns' exact-float rows: none of these is one,
+    # so each is coerced by parse_eval_record or skipped
+    '{"question_id": "i1", "true_eu": 0, "scores": {"SE": 1, "MI": 0}}',
+    '{"question_id": "i2", "true_eu": 1, "scores": {"SE": 0.5, "MI": 0.25}}',
+    '{"question_id": "b1", "true_eu": 0.2, "scores": {"SE": true}}',
+    '{"question_id": "b2", "true_eu": false, "scores": {"SE": 0.2}}',
+    '{"question_id": "b3", "true_eu": 0.2, "scores": {"SE": 0.1, "MI": false}}',
+    '{"question_id": "big1", "true_eu": 1' + "0" * 400 + ', "scores": {"SE": 0.2}}',
+    '{"question_id": "big2", "true_eu": 0.2, "scores": {"SE": 1' + "0" * 400 + "}}",
+    '{"question_id": "e1", "true_eu": 1e400, "scores": {"SE": 0.2}}',
+    '{"question_id": "e2", "true_eu": 0.2, "scores": {"SE": 0.1, "MI": 1e400}}',
+    "{} {}",
+    '{"question_id": "\udcff", "true_eu": 0.7, "scores": {"SE": 0.4}}',  # byte 0xff
+    # ... and exact-float rows that read as written
+    '{"question_id": "z1", "true_eu": -0.0, "scores": {"SE": -0.0, "MI": 0.5}}',
+    '{"question_id": "d1", "true_eu": 0.6, "scores": {"SE": 0.1, "SE": 0.7}}',
+    '{"question_id": "x1", "true_eu": 0.3, "scores": {"SE": 0.2}, "extra": [1, {"MI": null}]}',
+    '{"question_id": "é漢\u00e9", "true_eu": 0.8, "scores": {"MSP": 0.4}}',
     '{"question_id": "a2", "true_eu": 0.5, "scores": {"SE": 0.1}}',
     '{"question_id": "a3", "true_eu": 0.9, "scores": {"SE": 0.8, "MI": 0.7, "MSP": 0.1}}',
     '{"question_id": "a4", "true_eu": 0.0, "scores": {}}',
 ]
+
+
+def write_lines(path, lines) -> None:
+    """One line per item; a lone surrogate U+DC80..U+DCFF is written as the
+    byte it escapes, so a line can hold bytes that are not UTF-8."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+
+
+def reference_rows(path):
+    """(true_eu, score_columns, errors) of an eval-record file, read with
+    plain json.loads and parse_eval_record one line at a time."""
+    json_errors, record_errors, records = [], [], []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
+                json_errors.append((lineno, f"invalid JSON: {exc}"))
+                continue
+            if not isinstance(obj, dict):
+                json_errors.append((lineno, "expected a JSON object"))
+                continue
+            try:
+                records.append(parse_eval_record(obj))
+            except (ValidationError, ValueError, TypeError) as exc:
+                record_errors.append((lineno, str(exc)))
+    return [r.true_eu for r in records], score_columns(records), json_errors + record_errors
 
 
 def reference_bytes(tmp_path, question_ids, true_eu, scores):
@@ -128,29 +176,52 @@ def test_csv_rows_match_dict_writer(tmp_path):
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "dict.csv").read_bytes()
 
 
-class TestReadEvalColumns:
-    def reference(self, path):
-        """read_jsonl, then parse_eval_record on each object."""
-        objs, errors = read_jsonl(path, dict)
-        records = []
-        for lineno, obj in objs:
-            try:
-                records.append(parse_eval_record(obj))
-            except (ValidationError, ValueError, TypeError) as exc:
-                errors.append((lineno, str(exc)))
-        return [r.true_eu for r in records], score_columns(records), errors
+def assert_same_columns(got, want):
+    """Equal names in order, and per name equal float arrays, -0.0 included."""
+    assert list(got) == list(want)
+    for name, arrays in got.items():
+        for array, reference in zip(arrays, want[name]):
+            assert array.dtype == reference.dtype == np.float64
+            assert repr(array.tolist()) == repr(reference.tolist())
 
+
+# half of the drawn values are the edges of read_eval_columns' exact-float rows
+EDGE_VALUES = [0, 1, 10**400, True, False, None, -0.0, 5e-324, 1e308, math.inf, -math.inf,
+               math.nan, "0.5", "-0", "1e400", "nan", [], {}]
+JSON_VALUES = st.one_of(st.sampled_from(EDGE_VALUES),
+                        st.one_of(st.floats(), st.integers(), st.text(max_size=3)))
+SCORE_NAMES = ("SE", "MI", "MSP")
+
+
+@st.composite
+def eval_rows(draw):
+    """A row of a string id and exact floats, with at most one field or score
+    dropped or replaced by another JSON value."""
+    row = {"question_id": draw(st.text(max_size=3)),
+           "true_eu": draw(st.floats(min_value=0, max_value=2)),
+           "scores": draw(st.dictionaries(st.sampled_from(SCORE_NAMES),
+                                          st.floats(min_value=-2, max_value=2), max_size=3))}
+    field = draw(st.sampled_from((None, "question_id", "true_eu", "scores", "extra")
+                                 + SCORE_NAMES))
+    target = row["scores"] if field in SCORE_NAMES else row
+    if field is not None and draw(st.integers(0, 5)):
+        target[field] = draw(JSON_VALUES)
+    elif field is not None:
+        target.pop(field, None)
+    return row
+
+
+class TestReadEvalColumns:
     def test_malformed_lines_match_per_record_parse(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        path.write_text("\n".join(MALFORMED_LINES) + "\n")
+        write_lines(path, MALFORMED_LINES)
         true_eu, columns, errors = read_eval_columns(path)
-        want_eu, want_columns, want_errors = self.reference(path)
-        assert true_eu == want_eu == [0.1, 0.4, 0.5, 0.9, 0.0]
+        want_eu, want_columns, want_errors = reference_rows(path)
+        assert true_eu == want_eu == [0.1, 0.4, 0.0, 1.0, -0.0, 0.6, 0.3, 0.8, 0.5, 0.9, 0.0]
+        assert repr(true_eu) == repr(want_eu)
         assert errors == want_errors
-        assert list(columns) == list(want_columns) == ["MI", "MSP", "SE"]
-        for name, (truth, score) in columns.items():
-            assert truth.tolist() == want_columns[name][0].tolist()
-            assert score.tolist() == want_columns[name][1].tolist()
+        assert list(columns) == ["MI", "MSP", "SE"]
+        assert_same_columns(columns, want_columns)
 
     def test_error_order_json_first(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -158,28 +229,140 @@ class TestReadEvalColumns:
         _, columns, errors = read_eval_columns(path)
         assert columns == {}
         assert [lineno for lineno, _ in errors] == [2, 4, 1, 3]
-        assert errors == self.reference(path)[2]
+        assert errors == reference_rows(path)[2]
+
+    def test_each_edge_value_in_each_field_matches_per_record_parse(self, tmp_path):
+        rows = []
+        for field in ("question_id", "true_eu", "scores", "SE"):
+            for value in EDGE_VALUES:
+                row = {"question_id": "q", "true_eu": 0.5, "scores": {"MI": 0.25, "SE": 0.75}}
+                (row["scores"] if field == "SE" else row)[field] = value
+                rows.append(row)
+        path = tmp_path / "records.jsonl"
+        write_lines(path, [json.dumps(row) for row in rows])
+        true_eu, columns, errors = read_eval_columns(path)
+        want_eu, want_columns, want_errors = reference_rows(path)
+        assert len(true_eu) == 19 and len(errors) == len(rows) - 19
+        assert repr(true_eu) == repr(want_eu)
+        assert errors == want_errors
+        assert_same_columns(columns, want_columns)
+
+    @settings(max_examples=500, deadline=None)
+    @given(rows=st.lists(eval_rows(), min_size=1, max_size=12))
+    def test_drawn_rows_match_per_record_parse(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("r") / "records.jsonl"
+        write_lines(path, [json.dumps(row) for row in rows])
+        true_eu, columns, errors = read_eval_columns(path)
+        want_eu, want_columns, want_errors = reference_rows(path)
+        assert repr(true_eu) == repr(want_eu)
+        assert errors == want_errors
+        assert_same_columns(columns, want_columns)
+
+
+def outcome(decode, line):
+    """("value", repr(decode(line))), or the type and text of what it raised."""
+    try:
+        return "value", repr(decode(line))
+    except Exception as exc:  # the exception is what is compared
+        return type(exc), str(exc)
+
+
+# lines where json.loads itself fails before or after its one scanner call
+DECODER_LINES = [
+    "\ufeff{}", '\ufeff{"a": 1}', '"\\ud800"', '{"\\ud800": "\\udfff"}', '"\ud800"', "\ud800",
+    "[" * 100_000, '{"a": ' * 100_000, "NaN", '{"a": NaN}', "-Infinity", "1e400",
+    "{} {}", "{}x", "{},{}", "{}\n{}", " {}", "{} ", "\t[1]\r", "", " ", "01", "-",
+    '{"a": 1,}', '"abc', '"\x01"', "1" * 5000,
+]
+JSON_TEXT = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+).map(json.dumps)
+LINES = st.one_of(
+    st.text(max_size=12),
+    JSON_TEXT,
+    # a value cut short, followed by more text, or doubled
+    st.tuples(JSON_TEXT, st.integers(0, 40), st.text(max_size=4)).map(
+        lambda t: t[0][: t[1]] + t[2]),
+    st.tuples(JSON_TEXT, st.sampled_from(["", " ", ",", "\t"])).map(
+        lambda t: t[0] + t[1] + t[0]),
+)
+
+
+class TestDecoder:
+    @pytest.mark.parametrize("line", DECODER_LINES, ids=range(len(DECODER_LINES)))
+    def test_fixed_lines_match_json_loads(self, line):
+        assert outcome(formats._decode, line) == outcome(json.loads, line)
+
+    @settings(max_examples=500, deadline=None)
+    @given(line=LINES)
+    def test_drawn_lines_match_json_loads(self, line):
+        assert outcome(formats._decode, line) == outcome(json.loads, line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(LINES.map(lambda s: s.replace("\r", "").replace("\n", "")),
+                          max_size=8))
+    def test_iter_jsonl_matches_json_loads_per_line(self, tmp_path_factory, lines):
+        """Each stripped line as json.loads decodes it: the object, or the
+        line's place among the JSON errors with json.loads' message."""
+        path = tmp_path_factory.mktemp("d") / "lines.jsonl"
+        write_lines(path, lines)
+        errors: list = []
+        got = [(lineno, repr(obj)) for lineno, obj in formats._iter_jsonl(path, errors, dict)]
+        want, want_errors = [], []
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            kind, value = outcome(json.loads, line.strip())
+            if kind != "value":
+                want_errors.append((lineno, f"invalid JSON: {value}"))
+            elif value.startswith("{"):
+                want.append((lineno, value))
+            else:
+                want_errors.append((lineno, "expected a JSON object"))
+        assert got == want
+        assert errors == want_errors
+
+
+# no line is valid JSON on its own, yet joined with commas the three decode to
+# three well-typed records: "a,b", "c" and "d"
+SPLIT_LINES = [
+    '{"question_id": "a',
+    'b", "scores": {"SE": 0.5}, "true_eu": 0.1}',
+    '{"question_id": "c", "scores": {"SE": 0.2}, "true_eu": 0.3},'
+    '{"question_id": "d", "scores": {"SE": 0.4}, "true_eu": 0.6}',
+]
+
+
+def test_metrics_ties_no_record_to_another_line(tmp_path, capsys):
+    assert [r["question_id"] for r in json.loads("[" + ",".join(SPLIT_LINES) + "]")] == [
+        "a,b", "c", "d"]
+    records = tmp_path / "records.jsonl"
+    write_lines(records, SPLIT_LINES)
+    code = cli.main(["metrics", "--records", str(records),
+                     "--metrics-out", str(tmp_path / "m.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err[-1] == "ambiuq: error: no usable eval records"
+    assert [line.split(": invalid JSON: ")[0] for line in err[:-1]] == [
+        f"ambiuq: {records}:{lineno}: skipped" for lineno in (1, 2, 3)]
+    assert not (tmp_path / "m.csv").exists()
 
 
 def reference_metrics(records, metrics_out, hist_out, deltas) -> int:
-    """The metrics command on per-record objects: read_jsonl, then
-    parse_eval_record on each object and score_columns over the records."""
+    """The metrics command on per-record objects: reference_rows, then
+    score_columns over the records."""
     try:
-        parsed = []
-        objs, errors = read_jsonl(records, dict)
+        true_eu, columns, errors = reference_rows(records)
         for lineno, message in errors:
             cli._warn(f"{records}:{lineno}: skipped: {message}")
-        for lineno, obj in objs:
-            try:
-                parsed.append(parse_eval_record(obj))
-            except (ValidationError, ValueError, TypeError) as exc:
-                cli._warn(f"{records}:{lineno}: skipped: {exc}")
-        if not parsed:
+        if not true_eu:
             raise ValidationError("no usable eval records")
-        columns = score_columns(parsed)
         fieldnames, rows = cli._metric_rows(columns, deltas)
         cli.formats.write_csv(metrics_out, fieldnames, rows)
-        cli._write_histogram(hist_out, [r.true_eu for r in parsed], 4)
+        cli._write_histogram(hist_out, true_eu, 4)
         print(f"wrote metrics for {len(columns)} estimators to {metrics_out}")
         return 0
     except DegenerateInputError as exc:
@@ -198,7 +381,7 @@ def test_metrics_streaming_matches_per_record_reference(tmp_path, capsys, keep):
         "no-scores": [line for line in MALFORMED_LINES if '"scores": {}' in line],
     }[keep]
     records = tmp_path / "records.jsonl"
-    records.write_text("\n".join(lines) + "\n")
+    write_lines(records, lines)
     outputs = {}
     for name, run in (
         ("reference", lambda m, h: reference_metrics(records, m, h, (0.3, 1.0))),
