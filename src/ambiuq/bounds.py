@@ -138,16 +138,14 @@ def thm2_probability_bound(
     1 - avg_loss / (-ln(1-gamma_delta) * p_low_entropy). The lower bound is
     reported as-is even when negative (vacuous).
     """
-    if not (0.0 <= delta <= math.log(2.0) + EDGE):
-        raise DomainError(f"delta={delta!r} outside [0, ln 2]")
+    g = gamma_delta(delta)
     if not (math.isfinite(avg_loss) and avg_loss >= 0):
         raise DomainError(f"avg_loss={avg_loss!r} must be finite and >= 0")
     if p_low_entropy == 0.0:
         raise DegenerateInputError("p_low_entropy=0: no low-entropy mass to condition on")
     if not (0.0 < p_low_entropy <= 1.0):
         raise DomainError(f"p_low_entropy={p_low_entropy!r} outside (0, 1]")
-    g = gamma_delta(delta)
-    # at delta = 0, and below about 4e-15 in floating point
+    # at delta <= 0 (gamma_delta takes down to -EDGE), and below about 4e-15 in floating point
     if g == 1.0:
         raise DegenerateInputError(
             f"delta={delta!r} makes gamma_delta 1 and -ln(1-gamma_delta) infinite;"

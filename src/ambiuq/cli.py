@@ -19,6 +19,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -53,9 +54,9 @@ def _warn(msg: str) -> None:
     print(f"ambiuq: {msg}", file=sys.stderr)
 
 
-def _read(path, parse) -> list:
+def _read(path, parse, by_id: bool = False) -> list:
     """The parsed items of a JSONL file, after one warning per skipped line."""
-    items, errors = formats.read_jsonl(path, parse)
+    items, errors = formats.read_jsonl(path, parse, by_id)
     for lineno, message in errors:
         _warn(f"{path}:{lineno}: skipped: {message}")
     return [item for _, item in items]
@@ -165,11 +166,14 @@ class FileFilter:
 
     Rows: {"question", "answer", "chunk_id", "accept": bool}. Chunks with no
     recorded decision are accepted (the file only refines, never widens), so a
-    bad row is an error naming its line.
+    bad or contradicting row is an error naming its line.
     """
 
     def __init__(self, path: str):
         items, errors = formats.read_jsonl(path, formats.parse_filter_decision)
+        first = formats.first_rows(items, lambda decision: decision[0])
+        errors += [(lineno, f"filter decision: accept differs from line {first[key][0]}'s")
+                   for lineno, (key, accept) in items if first[key][1][1] != accept]
         if errors:
             lineno, message = min(errors)
             raise ValidationError(f"{path}:{lineno}: {message}")
@@ -181,7 +185,7 @@ class FileFilter:
 
 def cmd_build_gt(args) -> int:
     docs = _read(args.corpus, formats.parse_corpus_doc)
-    specs = _read(args.specs, formats.parse_question_spec)
+    specs = _read(args.specs, formats.parse_question_spec, by_id=True)
     if not specs:
         _warn("specs file contains no usable question specs; writing empty dataset")
 
@@ -201,6 +205,9 @@ def cmd_build_gt(args) -> int:
         if command_filter is not None:
             command_filter.close()
 
+    for r in (r for r in records if r.same_terms):
+        _warn(f"{r.question_id}: answers {list(r.same_terms)} require the same stemmed terms, "
+              "so they count the same chunks")
     kept = [r for r in records if not r.discarded]
     discarded = [r for r in records if r.discarded]
     discard_log = args.discard_log or f"{args.out}.discards.jsonl"
@@ -222,18 +229,14 @@ def _metric_rows(columns, deltas):
     n_values = 0
     for name, (truth, score) in columns.items():
         row = [name]
-        try:
-            row.append(f"{concordance(truth, score):.6f}")
-            n_values += 1
-        except DegenerateInputError as exc:
-            _warn(f"concordance[{name}]: {exc}")
-            row.append("")
-        for d in deltas:
+        cells = [(f"concordance[{name}]", partial(concordance, truth, score))] + [
+            (f"aucroc[{name}, delta={d:.6g}]", partial(aucroc, truth, score, d)) for d in deltas]
+        for label, metric in cells:
             try:
-                row.append(f"{aucroc(truth, score, d):.6f}")
+                row.append(f"{metric():.6f}")
                 n_values += 1
             except DegenerateInputError as exc:
-                _warn(f"aucroc[{name}, delta={d:.6g}]: {exc}")
+                _warn(f"{label}: {exc}")
                 row.append("")
         rows.append(row)
     if n_values == 0:
@@ -264,13 +267,13 @@ def cmd_eval(args) -> int:
                         if args.equivalence else None)
 
     gt_records = {}
-    for record in _read(args.ground_truth, formats.parse_ground_truth):
+    for record in _read(args.ground_truth, formats.parse_ground_truth, by_id=True):
         if record.discarded:
             _warn(f"{record.question_id}: ground truth is discarded; skipped")
             continue
         gt_records[record.question_id] = record
     predictions = {pred.question_id: pred
-                   for pred in _read(args.predictions, formats.parse_prediction)}
+                   for pred in _read(args.predictions, formats.parse_prediction, by_id=True)}
 
     matched = sorted(set(gt_records) & set(predictions))
     for qid in sorted(set(gt_records) - set(predictions)):

@@ -61,6 +61,8 @@ class GroundTruthRecord:
     discarded: bool
     reason: Optional[str]
     raw_matches: tuple  # pre-cap, pre-filter match totals, for the log
+    # answers that require the same stemmed terms as another, so count the same chunks
+    same_terms: tuple = ()
 
 
 def tokenize(text: str) -> list:
@@ -69,11 +71,6 @@ def tokenize(text: str) -> list:
 
 def stem_terms(text: str) -> frozenset:
     return frozenset(stem(tok) for tok in tokenize(text))
-
-
-def answer_key(answer: str) -> str:
-    """Stemmed canonical form used to match answers across record sets."""
-    return " ".join(stem(tok) for tok in tokenize(answer))
 
 
 def _split_oversized(text: str) -> list:
@@ -170,8 +167,7 @@ def _required_terms(keywords, answer: str) -> set:
     return terms
 
 
-def _count_detail(index, keywords, answer, cap, accept, question):
-    terms = _required_terms(keywords, answer)
+def _count_detail(index, terms, answer, cap, accept, question):
     if not terms:
         return 0, 0
     matches = index.matching(terms)
@@ -200,7 +196,8 @@ def cooccurrence_count(
         raise ValidationError("keywords and answer must be non-empty")
     if not cap >= 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    count, _ = _count_detail(index, keywords, answer, cap, accept, question)
+    terms = _required_terms(keywords, answer)
+    count, _ = _count_detail(index, terms, answer, cap, accept, question)
     return count
 
 
@@ -209,19 +206,21 @@ def _spec_record(index, spec: QuestionSpec, cap, accept) -> GroundTruthRecord:
         return GroundTruthRecord(
             spec.question_id, spec.answers, (), None, True, "duplicate answers", ()
         )
+    required = [_required_terms(spec.keywords, answer) for answer in spec.answers]
     counts, raws = zip(*(
-        _count_detail(index, spec.keywords, answer, cap, accept, spec.question)
-        for answer in spec.answers
+        _count_detail(index, terms, answer, cap, accept, spec.question)
+        for answer, terms in zip(spec.answers, required)
     ))
+    same = tuple(a for a, terms in zip(spec.answers, required) if required.count(terms) > 1)
     if min(counts) == 0:
         zeros = [a for a, c in zip(spec.answers, counts) if c == 0]
         return GroundTruthRecord(
             spec.question_id, spec.answers, counts, None, True,
-            f"zero counts for answers: {zeros}", raws,
+            f"zero counts for answers: {zeros}", raws, same,
         )
     p_star = normalize(counts, classes=spec.answers)
     return GroundTruthRecord(
-        spec.question_id, spec.answers, counts, p_star, False, None, raws
+        spec.question_id, spec.answers, counts, p_star, False, None, raws, same
     )
 
 
@@ -246,8 +245,8 @@ def cross_validate(a: Sequence[GroundTruthRecord], b: Sequence[GroundTruthRecord
     """Per-question JS divergence between two ground-truth estimates.
 
     Records are joined on question_id (non-discarded only); answers are
-    matched by stemmed canonical form, with probability 0 on the side
-    missing an answer.
+    matched by stem_terms, the term set that counting matches on, with
+    probability 0 on the side missing an answer.
     """
     by_id_a = {r.question_id: r for r in a if not r.discarded}
     by_id_b = {r.question_id: r for r in b if not r.discarded}
@@ -256,7 +255,7 @@ def cross_validate(a: Sequence[GroundTruthRecord], b: Sequence[GroundTruthRecord
         raise DegenerateInputError("no shared non-discarded question_ids")
     results = []
     for qid in shared:
-        pa, pb = (canonical_merge(r.answers, r.p_star.probs, answer_key)
+        pa, pb = (canonical_merge(r.answers, r.p_star.probs, stem_terms)
                   for r in (by_id_a[qid], by_id_b[qid]))
         keys = list(dict.fromkeys([*pa, *pb]))
         va = np.array([pa.get(k, 0.0) for k in keys])

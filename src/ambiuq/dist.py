@@ -146,6 +146,7 @@ def _require_same_classes(a: Categorical, b: Categorical) -> None:
 
 
 def _require_support(p_star: Categorical, p: Categorical) -> None:
+    _require_same_classes(p_star, p)
     bad = (p_star.probs > 0) & (p.probs == 0)
     if bad.any():
         missing = [c for c, b in zip(p_star.classes, bad) if b]
@@ -162,21 +163,18 @@ def entropy(p: Categorical) -> float:
 
 def kl(p_star: Categorical, p: Categorical) -> float:
     """KL(p*||p) in nats; requires aligned classes and dominated support."""
-    _require_same_classes(p_star, p)
     _require_support(p_star, p)
     return float(row_kl(p_star.probs, p.probs))
 
 
 def cross_entropy(p_star: Categorical, p: Categorical) -> float:
     """CE(p*, p) = -sum(p*_i ln p_i) = H(p*) + KL(p*||p), in nats."""
-    _require_same_classes(p_star, p)
     _require_support(p_star, p)
     return float(row_cross_entropy(p_star.probs, p.probs))
 
 
 def decompose(p_star: Categorical, p: Categorical) -> Decomposition:
     """Split total uncertainty CE(p*, p) into aleatoric H(p*) plus epistemic KL(p*||p)."""
-    _require_same_classes(p_star, p)
     _require_support(p_star, p)
     return Decomposition(
         total=float(row_cross_entropy(p_star.probs, p.probs)),

@@ -35,8 +35,9 @@ class EquivalenceMap:
 
     The default is case-folding plus whitespace/punctuation normalization
     with exact matching. An explicit mapping (for example pre-computed by an
-    external entailment tool) can be layered on top; chains are resolved so
-    that canonical() is idempotent.
+    external entailment tool) can be layered on top. Chains are resolved to
+    their end, and a chain that runs into a cycle to the cycle's least member,
+    so canonical() is idempotent whatever the mapping's order.
     """
 
     def __init__(self, mapping: Optional[dict] = None):
@@ -48,12 +49,11 @@ class EquivalenceMap:
 
     def canonical(self, s: str) -> str:
         out = _normalize_text(s)
-        for _ in range(len(self._mapping) + 1):
-            nxt = self._mapping.get(out, out)
-            if nxt == out:
-                break
-            out = nxt
-        return out
+        seen = []
+        while out in self._mapping and out not in seen:
+            seen.append(out)
+            out = self._mapping[out]
+        return min(seen[seen.index(out):]) if out in seen else out
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,25 @@ def _iter_jsonl(path, errors: list, parse):
     errors += json_errors + record_errors
 
 
-def read_jsonl(path, parse):
-    """Parse a JSONL file into ([(lineno, item), ...], [(lineno, error), ...])."""
+def first_rows(items, key) -> dict:
+    """{key(item): (lineno, item)} of the first (lineno, item) row per key, in order."""
+    first: dict = {}
+    for lineno, item in items:
+        first.setdefault(key(item), (lineno, item))
+    return first
+
+
+def read_jsonl(path, parse, by_id: bool = False):
+    """Parse a JSONL file into ([(lineno, item), ...], [(lineno, error), ...]);
+    ``by_id`` keeps the first item per question_id, and each later one is an error."""
     errors: list = []
-    return list(_iter_jsonl(path, errors, parse)), errors
+    items = list(_iter_jsonl(path, errors, parse))
+    if by_id:
+        first = first_rows(items, lambda item: item.question_id)
+        errors += [(lineno, f"duplicate question_id {item.question_id!r}")
+                   for lineno, item in items if first[item.question_id][0] != lineno]
+        items = list(first.values())
+    return items, errors
 
 
 def read_json_object(path, flag: str) -> dict:

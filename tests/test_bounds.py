@@ -199,6 +199,12 @@ class TestThm2Bound:
         with pytest.raises(DegenerateInputError, match="overflows"):
             thm2_probability_bound(0.5, 0.1, 1e-320)
 
+    def test_delta_inside_the_domain_slack_below_0_is_degenerate(self):
+        # gamma_delta accepts -1e-13 and clamps it to 0, where gamma is 1
+        assert gamma_delta(-1e-13) == 1.0
+        with pytest.raises(DegenerateInputError, match="delta=-1e-13 makes gamma_delta 1"):
+            thm2_probability_bound(-1e-13, 0.1, 0.5)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             thm2_probability_bound(LN2 + 0.1, 0.1, 0.5)

@@ -162,6 +162,24 @@ class TestBuildGT:
         assert ":4: skipped" in err
         assert len(read_jsonl(out)) == 2
 
+    def test_answers_with_one_term_set_are_named(self, tmp_path, capsys):
+        # "Paris" and "paris" stem alike, so they count the same two chunks
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [{"doc_id": f"d{i}", "sections": [text]} for i, text in
+                             enumerate(["the capital Paris", "a capital Paris again",
+                                        "capital London"])])
+        specs = tmp_path / "specs.jsonl"
+        write_jsonl(specs, [
+            {"question_id": q, "keywords": ["capital"], "answers": answers}
+            for q, answers in (("s1", ["Paris", "paris", "London"]), ("s2", ["London", "Paris"]))])
+        out, _ = build_gt(tmp_path, corpus, specs)
+        assert capsys.readouterr().err.splitlines() == [
+            "ambiuq: s1: answers ['Paris', 'paris'] require the same stemmed terms, "
+            "so they count the same chunks"]
+        # the answers are neither merged nor discarded
+        s1 = read_jsonl(out)[0]
+        assert s1["counts"] == [2, 2, 1] and s1["p_star"]["probs"] == [0.4, 0.4, 0.2]
+
     def test_rerun_is_byte_identical(self, tmp_path, fixture_corpus, fixture_specs):
         out1, log1 = build_gt(tmp_path, fixture_corpus, fixture_specs)
         first = out1.read_bytes(), log1.read_bytes()
@@ -640,6 +658,31 @@ class TestEval:
             aligned = align(parse_ground_truth(row).p_star, cluster(parse_prediction(pred)))
             assert decompose(*aligned).epistemic == 0.0
 
+    def test_symmetric_equivalence_pair_merges(self, tmp_path):
+        # a -> b with b -> a names one class, the same one as the single edge
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [
+            {"question_id": q, "answers": ["heat", "fuel"], "counts": counts,
+             "p_star": {"classes": ["heat", "fuel"], "probs": [c / sum(counts) for c in counts]}}
+            for q, counts in (("q1", [3, 1]), ("q2", [1, 1]))])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [
+            {"question_id": "q1", "samples": [{"text": t, "seq_prob": p} for t, p in
+                                              (("heat", 0.4), ("warmth", 0.4), ("fuel", 0.2))]},
+            {"question_id": "q2", "samples": [{"text": "fuel", "seq_prob": 0.3}]}])
+        outputs = []
+        for tag, mapping in (("one", {"warmth": "heat"}),
+                             ("pair", {"heat": "warmth", "warmth": "heat"})):
+            eq = tmp_path / f"{tag}.json"
+            eq.write_text(json.dumps(mapping))
+            code, records, metrics = self.run_eval(tmp_path, gt, preds, "--equivalence",
+                                                   str(eq), tag=tag)
+            assert code == 0
+            outputs.append([records.read_bytes(), metrics.read_bytes()])
+        assert outputs[0] == outputs[1]
+        q1 = json.loads(outputs[1][0].splitlines()[0])
+        assert q1["scores"]["SE"] == pytest.approx(-(0.8 * math.log(0.8) + 0.2 * math.log(0.2)))
+
     def test_rerun_byte_identical(
         self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions
     ):
@@ -805,6 +848,16 @@ class TestBounds:
     def test_gamma_delta_at_the_domain_edges(self, capsys, delta, gamma):
         assert main(["bounds", "--k", "3", "--delta", delta]) == 0
         assert json.loads(capsys.readouterr().out)["gamma_delta"] == gamma
+
+    def test_thm2_below_delta_0_within_the_slack_is_exit_3(self, capsys):
+        # the report's gamma_delta and the Theorem 2 bound accept one delta domain
+        assert main(["bounds", "--k", "3", "--delta=-1e-13"]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma_delta"] == 1.0
+        assert main(["bounds", "--k", "3", "--delta=-1e-13", "--avg-loss", "0.1",
+                     "--p-low-entropy", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert "--delta/--avg-loss/--p-low-entropy: delta=-1e-13 makes gamma_delta 1" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("extra, message", [
         (["--delta", "0.5", "--avg-loss", "0.1"],
@@ -1010,6 +1063,17 @@ class TestSimulate:
         assert code == 2
 
 
+# the warnings of _metric_rows for an estimator on one record (MI) and a delta
+# above every true EU (5), in the order of the CSV's cells
+EXPECTED_WARNINGS = [
+    "ambiuq: concordance[MI]: concordance undefined: no pairs with distinct true_eu",
+    "ambiuq: aucroc[MI, delta=0.25]: aucroc undefined at delta=0.25: binarization left a "
+    "single class",
+    "ambiuq: aucroc[MI, delta=5]: aucroc undefined at delta=5.0: binarization left a single class",
+    "ambiuq: aucroc[SE, delta=5]: aucroc undefined at delta=5.0: binarization left a single class",
+]
+
+
 class TestMetricsCommand:
     def test_round_trip(self, tmp_path):
         records = tmp_path / "records.jsonl"
@@ -1037,6 +1101,19 @@ class TestMetricsCommand:
         assert row["estimator"] == "SE"
         assert 0.5 < float(row["concordance"]) <= 1.0
         assert len(read_csv(hist)) == 10
+
+    def test_undefined_metric_warnings_in_cell_order(self, tmp_path, capsys):
+        # MI is on one record only; no true EU reaches delta 5
+        records = tmp_path / "records.jsonl"
+        write_jsonl(records, [{"question_id": f"q{i}", "true_eu": 0.1 * (i + 1),
+                               "scores": {"SE": 0.2 * i, **({"MI": 0.5} if i == 0 else {})}}
+                              for i in range(4)])
+        metrics = tmp_path / "metrics.csv"
+        assert main(["metrics", "--records", str(records), "--metrics-out", str(metrics),
+                     "--deltas", "0.25,5"]) == 0
+        assert capsys.readouterr().err.splitlines() == EXPECTED_WARNINGS
+        assert metrics.read_text().splitlines() == [
+            "estimator,concordance,aucroc@0.25,aucroc@5", "MI,,,", "SE,1.000000,1.000000,"]
 
     def test_missing_file_is_io_error(self, tmp_path):
         code = main(

@@ -209,6 +209,20 @@ class TestGroundTruth:
         assert record.counts == (0,) and record.raw_matches == (0,)
         assert record.reason == "zero counts for answers: ['?']"
 
+    def test_answers_requiring_the_same_terms_are_recorded(self):
+        index = build_index(make_chunks(["new york city", "a new york day", "boston city"]))
+        spec = QuestionSpec("q", "?", ("city",), ("new york", "Boston", "York New"))
+        (record,) = build_ground_truth(index, [spec])
+        assert record.same_terms == ("new york", "York New")
+        assert record.counts == (1, 1, 1) and not record.discarded
+        (plain,) = build_ground_truth(index, [QuestionSpec("q", "?", ("city",),
+                                                            ("new york", "Boston"))])
+        assert plain.same_terms == ()
+        # each answer's terms lie within the keywords' terms
+        (inside,) = build_ground_truth(index, [QuestionSpec("q", "?", ("new york",),
+                                                             ("new", "york", "day"))])
+        assert inside.same_terms == ("new", "york") and inside.counts == (2, 2, 1)
+
     def test_dataset_membership_rule(self):
         records = build_ground_truth(fixture_index(), [FIRE_SPEC, FROZEN_SPEC, DEAD_SPEC])
         kept = {r.question_id for r in records if not r.discarded}
@@ -281,6 +295,21 @@ class TestCrossValidate:
         )
         (pair,) = cross_validate([left], [right])
         assert pair[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_answers_matched_by_term_set(self):
+        # counting matches a term set, so token order and repeats do not part two answers
+        from ambiuq.corpus import GroundTruthRecord
+        from ambiuq.dist import Categorical
+
+        def rec(answers):
+            return GroundTruthRecord("q", answers, (3, 1), Categorical(answers, [0.75, 0.25]),
+                                     False, None, (3, 1))
+
+        (pair,) = cross_validate([rec(("new york", "boston"))], [rec(("york new", "boston"))])
+        assert pair == ("q", 0.0)
+        (pair,) = cross_validate([rec(("new york", "boston"))],
+                                 [rec(("new new york", "boston"))])
+        assert pair == ("q", 0.0)
 
     def test_empty_intersection_rejected(self):
         records = build_ground_truth(fixture_index(), [FIRE_SPEC])

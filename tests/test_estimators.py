@@ -54,6 +54,25 @@ class TestEquivalenceMap:
         out = eq.canonical("a")
         assert out in {"a", "b"}
 
+    @pytest.mark.parametrize("mapping", [{"a": "b", "b": "a"}, {"b": "a", "a": "b"}])
+    def test_two_cycle_merges_to_its_least_member(self, mapping):
+        eq = EquivalenceMap(mapping)
+        assert eq.canonical("a") == eq.canonical("b") == "a"
+        assert eq.canonical(eq.canonical("b")) == eq.canonical("b")
+
+    @pytest.mark.parametrize("order", [("x", "y", "z"), ("z", "x", "y"), ("y", "z", "x")])
+    def test_three_cycle_merges_to_its_least_member(self, order):
+        cycle = {"x": "y", "y": "z", "z": "x"}
+        eq = EquivalenceMap({key: cycle[key] for key in order})
+        for name in "xyz":
+            assert eq.canonical(name) == "x"
+            assert eq.canonical(eq.canonical(name)) == eq.canonical(name)
+
+    def test_chain_into_a_cycle_ends_at_its_least_member(self):
+        eq = EquivalenceMap({"t": "Y", "y": "z", "z": "y", "u": "t"})
+        assert [eq.canonical(s) for s in ("u", "t", "y", "z")] == ["y"] * 4
+        assert eq.canonical("other") == "other"
+
 
 class TestAnswerSamples:
     def test_seq_prob_validated(self):

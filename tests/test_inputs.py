@@ -277,6 +277,85 @@ class TestFilterFile:
         assert f"{decisions}:3: filter decision: missing required field 'chunk_id'" in err
 
 
+    def test_contradicting_repeat_names_its_line(self, tmp_path, fixture_corpus, fixture_specs):
+        decisions = tmp_path / "decisions.jsonl"
+        rows = self.rows(False)
+        write_jsonl(decisions, rows + [{**rows[4], "accept": True}])
+        out = tmp_path / "gt.jsonl"
+        code, err = run(["build-gt", "--corpus", fixture_corpus, "--specs", fixture_specs,
+                         "--out", out, "--filter-file", decisions])
+        assert code == 2
+        assert f"{decisions}:32: filter decision: accept differs from line 5's" in err
+        assert not out.exists()
+
+    def test_agreeing_repeat_is_one_decision(self, tmp_path, fixture_corpus, fixture_specs):
+        outputs = []
+        for tag, extra in (("once", []), ("twice", self.rows(False)[4:5])):
+            decisions = tmp_path / f"{tag}.jsonl"
+            write_jsonl(decisions, self.rows(False) + extra)
+            out = tmp_path / f"{tag}.gt.jsonl"
+            code, err = run(["build-gt", "--corpus", fixture_corpus, "--specs", fixture_specs,
+                             "--out", out, "--discard-log", tmp_path / f"{tag}.log.jsonl",
+                             "--filter-file", decisions])
+            assert code == 0
+            outputs.append([out.read_bytes(), (tmp_path / f"{tag}.log.jsonl").read_bytes()])
+        assert outputs[0] == outputs[1]
+
+
+class TestRepeatedIds:
+    """A repeated question_id keeps the first row; each later row is skipped
+    with its file:line, so no input row is silently overwritten or doubled."""
+
+    GT_ROWS = [{**GT, "question_id": "q1"},
+               {**GT, "question_id": "q2", "counts": [1, 1], "raw_matches": [1, 1],
+                "p_star": {"classes": ["heat", "fuel"], "probs": [0.5, 0.5]}}]
+    PRED_ROWS = [{**PRED, "question_id": "q1"},
+                 {**PRED, "question_id": "q2", "samples": [{"text": "heat", "seq_prob": 0.3},
+                                                           {"text": "fuel", "seq_prob": 0.3}]}]
+    LATER = {
+        "ground-truth": {**GT, "question_id": "q1", "answers": ["oxygen", "fuel"],
+                         "p_star": {"classes": ["oxygen", "fuel"], "probs": [2 / 3, 1 / 3]}},
+        "predictions": {**PRED, "question_id": "q1",
+                        "samples": [{"text": "oxygen", "seq_prob": 0.9}]},
+    }
+
+    def run_eval(self, folder, gt_rows, pred_rows):
+        folder.mkdir()
+        write_jsonl(folder / "ground-truth.jsonl", gt_rows)
+        write_jsonl(folder / "predictions.jsonl", pred_rows)
+        code, err = run(["eval", "--ground-truth", folder / "ground-truth.jsonl",
+                         "--predictions", folder / "predictions.jsonl",
+                         "--records-out", folder / "r.jsonl", "--metrics-out", folder / "m.csv"])
+        assert code == 0
+        return err, [(folder / name).read_bytes() for name in ("r.jsonl", "m.csv")]
+
+    @pytest.mark.parametrize("repeated", ["ground-truth", "predictions"])
+    def test_eval_scores_the_first_row_per_id(self, tmp_path, repeated):
+        _, clean = self.run_eval(tmp_path / "clean", self.GT_ROWS, self.PRED_ROWS)
+        rows = {"ground-truth": self.GT_ROWS, "predictions": self.PRED_ROWS}
+        rows[repeated] = rows[repeated] + [self.LATER[repeated]]
+        err, outputs = self.run_eval(tmp_path / "repeated", rows["ground-truth"],
+                                     rows["predictions"])
+        assert outputs == clean
+        path = tmp_path / "repeated" / f"{repeated}.jsonl"
+        assert f"{path}:3: skipped: duplicate question_id 'q1'" in err
+
+    def test_build_gt_counts_the_first_spec_per_id(self, tmp_path, fixture_corpus,
+                                                    fixture_specs):
+        specs = read_jsonl(fixture_specs)
+        repeated = tmp_path / "repeated.jsonl"
+        write_jsonl(repeated, specs + [{**specs[1], "answers": ["Elsa", "Olaf"]}])
+        outputs = []
+        for tag, path in (("clean", fixture_specs), ("repeated", repeated)):
+            out, log = tmp_path / f"{tag}.gt.jsonl", tmp_path / f"{tag}.log.jsonl"
+            code, err = run(["build-gt", "--corpus", fixture_corpus, "--specs", path,
+                             "--out", out, "--discard-log", log])
+            assert code == 0
+            outputs.append([out.read_bytes(), log.read_bytes()])
+        assert outputs[0] == outputs[1]
+        assert f"{repeated}:4: skipped: duplicate question_id 'q-frozen'" in err
+
+
 class TestCap:
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cli_rejects_cap_below_one(self, tmp_path, fixture_corpus, fixture_specs, cap):
