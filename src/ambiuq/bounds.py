@@ -44,6 +44,8 @@ class BoundQuery:
         _check_k(self.k)
         if not math.isfinite(self.delta):
             raise DomainError(f"delta must be finite, got {self.delta!r}")
+        if not -EDGE <= self.delta <= math.log(self.k) + EDGE:
+            raise DomainError(f"delta={self.delta!r} outside [0, ln k] for k={self.k}")
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,8 @@ def _bisect_decreasing(fn, lo: float, hi: float, target: float) -> float:
 def alpha_delta(query: BoundQuery) -> float:
     """Largest possible max-class probability among distributions with
     entropy >= delta; the unique root of h_max(a, k) = delta on [1/k, 1]."""
-    k, delta = query.k, query.delta
-    if not (-EDGE <= delta <= math.log(k) + EDGE):
-        raise DomainError(f"delta={delta!r} outside [0, ln k] for k={k}")
-    delta = min(max(delta, 0.0), math.log(k))
+    k = query.k
+    delta = min(max(query.delta, 0.0), math.log(k))
     # mid stays strictly inside (1/k, 1), where h_max's checks and clamp
     # never act, so the root equals bisecting h_max itself
     return _bisect_decreasing(lambda a: _h_max(a, k), 1.0 / k, 1.0, delta)

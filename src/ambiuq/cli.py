@@ -111,8 +111,14 @@ class CommandFilter:
 
     def __init__(self, command: str):
         self.command = command
+        try:
+            argv = shlex.split(command)
+        except ValueError as exc:
+            raise ValidationError(f"--filter-cmd {command!r}: {exc}")
+        if not argv:
+            raise ValidationError(f"--filter-cmd {command!r} names no program")
         self.proc = subprocess.Popen(
-            shlex.split(command),
+            argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
@@ -190,12 +196,12 @@ def cmd_build_gt(args) -> int:
         _warn("specs file contains no usable question specs; writing empty dataset")
 
     accept = None
-    if args.filter_cmd and args.filter_file:
+    if args.filter_cmd is not None and args.filter_file is not None:
         raise ValidationError("--filter-cmd and --filter-file are mutually exclusive")
-    if args.filter_file:
+    if args.filter_file is not None:
         accept = FileFilter(args.filter_file)
     command_filter = None
-    if args.filter_cmd:
+    if args.filter_cmd is not None:
         accept = command_filter = CommandFilter(args.filter_cmd)
 
     try:
@@ -317,9 +323,8 @@ def cmd_eval(args) -> int:
         for name, (_, score) in columns.items():
             keep = [i for i, scores in enumerate(score_rows) if name in scores]
             try:
-                ablation += [{"gamma": label, "estimator": name,
-                              "concordance": concordance(values[keep], score)}
-                             for label, values in truths]
+                ablation += simlab.gamma_ablation(
+                    [(label, values[keep]) for label, values in truths], {name: score})
             except DegenerateInputError as exc:
                 _warn(f"gamma ablation[{name}]: {exc}")
         labels = [*gammas, "point"]
@@ -403,7 +408,9 @@ def cmd_simulate(args) -> int:
         if config.counts_total == 0:
             raise DegenerateInputError("--ablation-csv needs counts_total > 0")
     result = simlab.run_experiment(config)
-    ablation = result.gamma_ablation(gammas) if args.ablation_csv else None
+    if args.ablation_csv:
+        truths = simlab.ablation_truths(result.counts, result.p_model, gammas)
+        ablation = simlab.gamma_ablation(truths, result.scores)
 
     question_ids = result.question_ids
     with formats.staged_writes() as stage:

@@ -105,13 +105,15 @@ def staged_writes():
     """Yield ``stage(path)``, the name of a temporary next to ``path`` for the
     caller to write. When the block succeeds every temporary is renamed onto
     its path; when it raises every temporary is removed, so each output is
-    either complete or left as it was."""
+    either complete or left as it was. Two outputs may not name one file."""
     staged = {}
 
     def stage(path):
         # a link, a device or a directory is opened in place, as before
         if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
             return path
+        if os.path.realpath(path) in map(os.path.realpath, staged):
+            raise ValidationError(f"{path} is named for two outputs")
         head, tail = os.path.split(path)
         return staged.setdefault(path, os.path.join(head, f".{tail}.{os.getpid()}.tmp"))
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 # bench/tracer.py wraps alpha_delta here; nothing calls it
-from .bounds import (EDGE, BoundQuery, alpha_delta, eu_lower_bound_high_entropy, gamma_delta,
+from .bounds import (BoundQuery, alpha_delta, eu_lower_bound_high_entropy, gamma_delta,
                      thm2_probability_bound)
 from .dirichlet import expected_epistemic, posterior
 from .dist import Categorical, row_cross_entropy, row_entropy, row_kl
@@ -85,10 +85,10 @@ class SimConfig:
                 f"k*{what} is over the budget of {MAX_CELLS} array cells "
                 f"(k={self.k}, n={self.n}, ensemble_size={self.ensemble_size})")
         for d in self.deltas:
-            if not (0.0 <= d <= math.log(self.k) + EDGE):
-                raise ValidationError(
-                    f"delta={d} outside [0, ln k] for k={self.k}"
-                )
+            try:
+                BoundQuery(self.k, d)
+            except DomainError as exc:
+                raise ValidationError(str(exc)) from exc
 
 
 def _classes(k: int) -> tuple:
@@ -165,13 +165,6 @@ class ExperimentResult:
         rows = zip(*(vals.tolist() for vals in self.scores.values()))
         scores = [dict(zip(self.scores, row)) for row in rows]
         return list(map(EvalRecord, self.question_ids, self.true_eu.tolist(), scores))
-
-    def gamma_ablation(self, gammas=DEFAULT_GAMMAS):
-        if self.counts is None:
-            raise DegenerateInputError(
-                "gamma ablation needs per-record counts; set counts_total > 0"
-            )
-        return gamma_ablation(self.counts, self.p_model, self.scores, gammas)
 
 
 def _verify_thm1(delta: float, k: int, se: np.ndarray, eu: np.ndarray) -> dict:
@@ -317,11 +310,11 @@ def ablation_truths(counts, p_model, gammas=DEFAULT_GAMMAS):
     return out
 
 
-def gamma_ablation(counts, p_model, scores: dict, gammas=DEFAULT_GAMMAS):
-    """Concordance of each estimator against each of :func:`ablation_truths`:
-    rows {"gamma", "estimator", "concordance"} in grid order."""
+def gamma_ablation(truths, scores: dict):
+    """Rows {"gamma", "estimator", "concordance"}: each estimator of ``scores``
+    against each (label, truth) of :func:`ablation_truths`, label first."""
     return [
         {"gamma": label, "estimator": name, "concordance": concordance(truth, vals)}
-        for label, truth in ablation_truths(counts, p_model, gammas)
+        for label, truth in truths
         for name, vals in scores.items()
     ]

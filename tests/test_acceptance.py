@@ -44,7 +44,8 @@ from ambiuq.dist import (
 )
 from ambiuq.estimators import EnsemblePrediction, mutual_information
 from ambiuq.metrics import EvalRecord, aucroc, concordance, score_columns
-from ambiuq.simlab import FREE_AU, ZERO_AU, SimConfig, run_experiment
+from ambiuq.simlab import (FREE_AU, ZERO_AU, SimConfig, ablation_truths, gamma_ablation,
+                           run_experiment)
 
 LN2 = math.log(2.0)
 
@@ -382,7 +383,8 @@ def test_11_regime_contrast():
 def test_12_gamma_ablation(tmp_path):
     cfg = SimConfig(k=3, n=400, seed=2, regime=FREE_AU, noise=8.0, counts_total=200)
     result = run_experiment(cfg)
-    rows = result.gamma_ablation(gammas=(1.0, 2.0, 5.0, 10.0, 100.0, 1e6))
+    truths = ablation_truths(result.counts, result.p_model, (1.0, 2.0, 5.0, 10.0, 100.0, 1e6))
+    rows = gamma_ablation(truths, result.scores)
     by_gamma = {r["gamma"]: r["concordance"] for r in rows if r["estimator"] == "SE"}
     converged = abs(by_gamma[1e6] - by_gamma["point"]) <= 0.005
 

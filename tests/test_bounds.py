@@ -128,6 +128,13 @@ class TestInversion:
         with pytest.raises(DomainError, match="finite float"):
             BoundQuery(10**400, 0.5)
 
+    def test_delta_domain_is_checked_by_the_query(self):
+        # one Theorem 1 domain, [0, ln k] with EDGE of slack, for bounds and simulate
+        for delta in (-1e-11, math.log(3) + 1e-11):
+            with pytest.raises(DomainError, match=r"outside \[0, ln k\] for k=3"):
+                BoundQuery(3, delta)
+        assert alpha_delta(BoundQuery(3, -1e-13)) == alpha_delta(BoundQuery(3, 0.0))
+
     @pytest.mark.parametrize("k", [2, 3, 10, 1000])
     def test_alpha_delta_is_the_bisection_of_h_max(self, k):
         # alpha_delta skips h_max's checks inside the bracket; the root must

@@ -295,6 +295,24 @@ class TestBuildGT:
         assert "--filter-cmd and --filter-file are mutually exclusive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--filter-cmd", "   "], 2, "--filter-cmd '   ' names no program"),
+        (["--filter-cmd", '"x'], 2, """--filter-cmd '"x': No closing quotation"""),
+        (["--filter-cmd", ""], 2, "--filter-cmd '' names no program"),
+        (["--filter-file", ""], 1, "No such file or directory: ''"),
+        (["--filter-cmd", "", "--filter-file", ""], 2,
+         "--filter-cmd and --filter-file are mutually exclusive"),
+    ], ids=["blank-command", "unclosed-quote", "empty-command", "empty-file", "both-empty"])
+    def test_empty_or_unsplittable_filter_flag_is_an_error(
+        self, tmp_path, fixture_corpus, fixture_specs, flags, code, message, capsys
+    ):
+        out = tmp_path / "gt.jsonl"
+        assert main(["build-gt", "--corpus", str(fixture_corpus), "--specs", str(fixture_specs),
+                     "--out", str(out), *flags]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_filter_cmd(self, tmp_path, fixture_corpus, fixture_specs, filter_script):
         # fuel gets zero counts, so q-fire must land in the discard log
         out, log = build_gt(
@@ -945,6 +963,13 @@ class TestSimulate:
         assert zero == {"delta": 0.0, **undefined}
         assert half["applicable"] is True
 
+    def test_delta_within_the_slack_below_0_is_accepted(self, tmp_path):
+        # the Theorem 1 domain of bounds --delta=-1e-13
+        code, _, report = self.run_sim(tmp_path, {"k": 3, "n": 50, "deltas": [-1e-13]})
+        assert code == 0
+        thm1 = json.loads(report.read_text())["theorem_1"]
+        assert [(e["delta"], e["eu_lower_bound"]) for e in thm1] == [(-1e-13, 0.0)]
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         code, out, report = self.run_sim(tmp_path, [1])
         assert code == 2
@@ -985,6 +1010,18 @@ class TestSimulate:
         arows = read_csv(ablation)
         assert [r["gamma"] for r in arows if r["estimator"] == "SE"] == [
             "1.0", "2.0", "5.0", "10.0", "100.0", "point",
+        ]
+
+    def test_ablation_rows_are_gamma_first_then_scores_order(self, tmp_path):
+        ablation = tmp_path / "ablation.csv"
+        code, _, _ = self.run_sim(
+            tmp_path, {"k": 3, "n": 200, "seed": 1, "ensemble_size": 2, "counts_total": 20},
+            "--ablation-csv", str(ablation), "--gammas", "1,5",
+        )
+        assert code == 0
+        assert [(r["gamma"], r["estimator"]) for r in read_csv(ablation)] == [
+            ("1.0", "SE"), ("1.0", "MI"), ("5.0", "SE"), ("5.0", "MI"),
+            ("point", "SE"), ("point", "MI"),
         ]
 
     def test_invalid_config_exit_code(self, tmp_path):
@@ -1221,6 +1258,19 @@ def test_bench_tracer_runs_every_subcommand(tmp_path, fixture_corpus, fixture_sp
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["rc"] == {name: 0 for name in commands}
+    # simlab.ablation_s times simlab.gamma_ablation, so eval must call it there
+    spans = [json.loads(line) for line in (tmp_path / "spans.jsonl").read_text().splitlines()]
+    roots = [i for i, span in enumerate(spans) if span[3] == -1]  # one cli.main per command
+    assert [spans[i][0] for i in roots] == ["cli.main"] * len(commands)
+
+    def root(i):
+        while spans[i][3] != -1:
+            i = spans[i][3]
+        return i
+
+    eval_root = roots[list(commands).index("eval")]
+    assert any(root(i) == eval_root for i, span in enumerate(spans)
+               if span[0] == "simlab.gamma_ablation")
 
 
 class TestOutputsOnFailure:
@@ -1277,6 +1327,44 @@ class TestOutputsOnFailure:
         code = main(["metrics", "--records", str(records), "--metrics-out", str(out / "first"),
                      "--hist-out", str(out / "no" / "h.csv"), "--deltas", "0.25"])
         self.check(out, code, capsys)
+
+
+@pytest.mark.parametrize("command", ["build-gt", "eval", "simulate", "metrics"])
+def test_two_outputs_naming_one_file_exit_2(tmp_path, fixture_corpus, fixture_specs,
+                                            fixture_predictions, command, capsys):
+    # the second output would overwrite the first: "o" and "./o" are one file
+    out = tmp_path / "out"
+    out.mkdir()
+    first, second = str(out / "o"), os.path.join(str(out), ".", "o")
+    if command == "eval":
+        build_gt(tmp_path, fixture_corpus, fixture_specs)  # tmp_path / "gt.jsonl"
+        capsys.readouterr()
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"k": 3, "n": 200}))
+    records = tmp_path / "records.jsonl"
+    write_jsonl(records, [{"question_id": f"q{i}", "true_eu": 0.1 * i,
+                           "scores": {"SE": 0.2 * i}} for i in range(5)])
+    argv = {
+        "build-gt": ["--corpus", str(fixture_corpus), "--specs", str(fixture_specs),
+                     "--out", first, "--discard-log", second],
+        "eval": ["--ground-truth", str(tmp_path / "gt.jsonl"),
+                 "--predictions", str(fixture_predictions),
+                 "--records-out", first, "--metrics-out", second],
+        "simulate": ["--config", str(config), "--out", first, "--report", second],
+        "metrics": ["--records", str(records), "--metrics-out", first, "--hist-out", second],
+    }[command]
+    assert main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert f"{second} is named for two outputs" in captured.err
+    assert "wrote" not in captured.out
+    assert list(out.iterdir()) == []
+
+
+def test_two_outputs_may_both_be_a_device(tmp_path, capsys):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"k": 3, "n": 200}))
+    assert main(["simulate", "--config", str(config), "--out", os.devnull,
+                 "--report", os.devnull]) == 0
 
 
 # Names that bench/tracer.py wraps in these modules although src/ calls them

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ambiuq.dirichlet import expected_epistemic, posterior
 from ambiuq.dist import row_entropy, row_kl
-from ambiuq.errors import ConfigurationError, DegenerateInputError, ValidationError
+from ambiuq.errors import ConfigurationError, ValidationError
 from ambiuq.formats import parse_sim_config
 from ambiuq.metrics import EvalRecord, concordance, score_columns
 from ambiuq.simlab import (
@@ -17,6 +17,7 @@ from ambiuq.simlab import (
     SimConfig,
     _sample_models,
     _sample_truths,
+    ablation_truths,
     gamma_ablation,
     MAX_CELLS,
     run_experiment,
@@ -41,6 +42,12 @@ class TestConfig:
                 SimConfig(noise=noise)
         with pytest.raises(ValidationError):
             SimConfig(k=3, deltas=(math.log(3) + 0.2,))
+        with pytest.raises(ValidationError, match=r"outside \[0, ln k\]"):
+            SimConfig(k=3, deltas=(-1e-11,))
+        with pytest.raises(ValidationError, match="delta must be finite"):
+            SimConfig(k=3, deltas=(math.nan,))
+        # BoundQuery's slack below 0, as bounds accepts
+        assert SimConfig(k=3, deltas=(-1e-13,)).deltas == (-1e-13,)
         # built directly, past the --config reader's count checks
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             SimConfig(seed=-1)
@@ -252,27 +259,28 @@ class TestRunExperiment:
         assert spread >= math.log(3) - 0.2
 
 
-class TestGammaAblation:
-    def test_requires_counts(self):
-        res = run_experiment(SimConfig(k=3, n=50, seed=0, regime=FREE_AU))
-        with pytest.raises(DegenerateInputError):
-            res.gamma_ablation()
+def result_ablation(result, gammas):
+    """The gamma ablation of a simulated population, as simulate --ablation-csv builds it."""
+    truths = ablation_truths(result.counts, result.p_model, gammas)
+    return gamma_ablation(truths, result.scores)
 
+
+class TestGammaAblation:
     def test_grid_emitted_in_order(self):
         cfg = SimConfig(k=3, n=200, seed=2, regime=FREE_AU, noise=8.0, counts_total=100)
-        rows = run_experiment(cfg).gamma_ablation(gammas=(1.0, 2.0, 5.0, 10.0, 100.0))
+        rows = result_ablation(run_experiment(cfg), (1.0, 2.0, 5.0, 10.0, 100.0))
         gammas = [r["gamma"] for r in rows]
         assert gammas == [1.0, 2.0, 5.0, 10.0, 100.0, "point"]
 
     def test_converges_to_point_estimate(self):
         cfg = SimConfig(k=3, n=400, seed=2, regime=FREE_AU, noise=8.0, counts_total=200)
-        rows = run_experiment(cfg).gamma_ablation(gammas=(1e6,))
+        rows = result_ablation(run_experiment(cfg), (1e6,))
         by_gamma = {r["gamma"]: r["concordance"] for r in rows}
         assert abs(by_gamma[1e6] - by_gamma["point"]) <= 0.005
 
     def test_monotone_toward_point_with_decisive_counts(self):
         cfg = SimConfig(k=3, n=400, seed=2, regime=FREE_AU, noise=8.0, counts_total=200)
-        rows = run_experiment(cfg).gamma_ablation(gammas=(1.0, 2.0, 5.0, 10.0, 100.0, 1e6))
+        rows = result_ablation(run_experiment(cfg), (1.0, 2.0, 5.0, 10.0, 100.0, 1e6))
         values = [r["concordance"] for r in rows if r["gamma"] != "point"]
         point = next(r["concordance"] for r in rows if r["gamma"] == "point")
         gaps = [abs(v - point) for v in values]
@@ -298,7 +306,7 @@ class TestGammaAblation:
             ]
             return {name: concordance(*col) for name, col in score_columns(records).items()}
 
-        rows = gamma_ablation(counts, p_model, scores, gammas)
+        rows = gamma_ablation(ablation_truths(counts, p_model, gammas), scores)
         got = {(r["gamma"], r["estimator"]): r["concordance"] for r in rows}
         for gamma in gammas:
             truth = [expected_epistemic(posterior(c, gamma), p) for c, p in zip(counts, p_model)]
@@ -310,6 +318,7 @@ class TestGammaAblation:
 
     def test_ragged_bad_entries_rejected(self):
         with pytest.raises(ValidationError):
-            gamma_ablation([[1, 2], [3, 4, 5]], [[0.5, 0.5], [0.2, 0.3]], {"A": [0.1, 0.2]})
+            gamma_ablation(ablation_truths([[1, 2], [3, 4, 5]], [[0.5, 0.5], [0.2, 0.3]]),
+                           {"A": [0.1, 0.2]})
         with pytest.raises(ValidationError):
-            gamma_ablation([[1, 2], 3], [[0.5, 0.5], [1.0]], {"A": [0.1, 0.2]})
+            gamma_ablation(ablation_truths([[1, 2], 3], [[0.5, 0.5], [1.0]]), {"A": [0.1, 0.2]})
