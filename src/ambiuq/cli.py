@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import select
-import shlex
-import subprocess
+import os
 import sys
+import time
 from dataclasses import asdict
 from functools import partial
 
@@ -93,7 +92,7 @@ def _check_size(value: int, flag: str, low: int, high: int) -> None:
         raise ValidationError(f"{flag} must be <= {high}, got {value}")
 
 
-FILTER_TIMEOUT_S = 30.0  # longest wait for a --filter-cmd reply, or for its exit
+FILTER_TIMEOUT_S = 30.0  # longest wait for the next --filter-cmd reply line, or for its exit
 
 
 class CommandFilter:
@@ -101,15 +100,20 @@ class CommandFilter:
 
     The command receives one JSON object per line on stdin
     ({"chunk_id", "text", "question", "answer"}) and must reply with one
-    line per object: yes/no, accept/reject, true/false, or 1/0. A command
-    that exits before replying is an I/O error naming its exit code; one
-    that sends no reply within FILTER_TIMEOUT_S is killed, also an I/O error.
+    line per object, in order: yes/no, accept/reject, true/false, or 1/0.
+    A call sends its requests without waiting for replies. A command that
+    exits before replying is an I/O error naming its exit code; one that
+    sends no reply line within FILTER_TIMEOUT_S is killed, also an I/O error.
     """
 
     _YES = {"yes", "accept", "true", "1"}
     _NO = {"no", "reject", "false", "0"}
 
     def __init__(self, command: str):
+        # imported here and below, so that commands that start no filter do not load them
+        import shlex
+        import subprocess
+
         self.command = command
         try:
             argv = shlex.split(command)
@@ -117,48 +121,56 @@ class CommandFilter:
             raise ValidationError(f"--filter-cmd {command!r}: {exc}")
         if not argv:
             raise ValidationError(f"--filter-cmd {command!r} names no program")
-        self.proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
+        self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        os.set_blocking(self.proc.stdin.fileno(), False)
+        self._buffer = b""  # reply bytes not yet split into lines
 
-    def __call__(self, chunk, question: str, answer: str) -> bool:
-        payload = json.dumps(
-            {
-                "chunk_id": chunk.chunk_id,
-                "text": chunk.text,
-                "question": question,
-                "answer": answer,
-            },
-            sort_keys=True,
-        )
-        try:
-            self.proc.stdin.write(payload + "\n")
-            self.proc.stdin.flush()
-            # replies alternate with requests, so none waits in the read buffer
-            if not select.select([self.proc.stdout], [], [], FILTER_TIMEOUT_S)[0]:
+    def __call__(self, chunks, question: str, answer: str) -> list:
+        import select
+
+        requests = (json.dumps({"chunk_id": chunk.chunk_id, "text": chunk.text,
+                                "question": question, "answer": answer},
+                               sort_keys=True).encode() + b"\n" for chunk in chunks)
+        pending = next(requests, b"")
+        stdin, stdout = self.proc.stdin.fileno(), self.proc.stdout.fileno()
+        replies = []
+        deadline = time.monotonic() + FILTER_TIMEOUT_S
+        while True:
+            *lines, self._buffer = self._buffer.split(b"\n", len(chunks) - len(replies))
+            for line in lines:
+                reply = line.decode("utf-8", "backslashreplace").strip().casefold()
+                if reply not in self._YES and reply not in self._NO:
+                    raise ValidationError(f"filter command {self.command!r} replied {reply!r}; "
+                                          "expected yes/no")
+                replies.append(reply in self._YES)
+                deadline = time.monotonic() + FILTER_TIMEOUT_S
+            if len(replies) == len(chunks):
+                return replies
+            timeout = deadline - time.monotonic()
+            if timeout <= 0:
                 self.proc.kill()  # close() reaps it
                 raise OSError(f"filter command {self.command!r} "
                               f"sent no reply in {FILTER_TIMEOUT_S:g} s")
-            reply = self.proc.stdout.readline()
-        except BrokenPipeError:
-            reply = ""
-        if not reply:  # EOF or a broken pipe: the command has exited
-            self.close()
-            code = self.proc.returncode
-            raise OSError(f"filter command {self.command!r} exited with code {code}")
-        reply = reply.strip().casefold()
-        if reply in self._YES:
-            return True
-        if reply in self._NO:
-            return False
-        raise ValidationError(
-            f"filter command {self.command!r} replied {reply!r}; expected yes/no"
-        )
+            readable, writable, _ = select.select(
+                [stdout], [stdin] if pending else [], [], timeout)
+            try:
+                while writable and pending:  # as much as the pipe accepts
+                    pending = pending[os.write(stdin, pending):] or next(requests, b"")
+            except BlockingIOError:
+                pass
+            except BrokenPipeError:  # the command has exited; stdout says how
+                pending = b""
+            if readable:
+                data = os.read(stdout, 65536)
+                if not data:  # EOF: the command has exited
+                    self.close()
+                    code = self.proc.returncode
+                    raise OSError(f"filter command {self.command!r} exited with code {code}")
+                self._buffer += data
 
     def close(self) -> None:
+        import subprocess
+
         # communicate closes stdin, tolerating a broken pipe, and reaps the child
         try:
             self.proc.communicate(timeout=FILTER_TIMEOUT_S)
@@ -185,8 +197,8 @@ class FileFilter:
             raise ValidationError(f"{path}:{lineno}: {message}")
         self.decisions = dict(item for _, item in items)
 
-    def __call__(self, chunk, question: str, answer: str) -> bool:
-        return self.decisions.get((question, answer, chunk.chunk_id), True)
+    def __call__(self, chunks, question: str, answer: str) -> list:
+        return [self.decisions.get((question, answer, c.chunk_id), True) for c in chunks]
 
 
 def cmd_build_gt(args) -> int:

@@ -3,9 +3,10 @@
 Pipeline: chunk documents into their lowest-level text units, stem every
 token, build an inverted index over stemmed terms, count chunks in which all
 keyword terms and all answer terms co-occur (capped, optionally passed
-through an entailment filter), and normalize the per-answer counts into a
-ground-truth answer distribution. Questions where any candidate answer has
-zero counts are discarded but retained in a discard log.
+through an entailment filter, one call per answer), and normalize the
+per-answer counts into a ground-truth answer distribution. Questions where
+any candidate answer has zero counts are discarded but retained in a
+discard log.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ DEFAULT_CAP = 1000
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
-# accept/reject decision for one retrieved chunk
-EntailmentFilter = Callable[["Chunk", str, str], bool]
+# accept(chunks, question, answer): one accept/reject decision per chunk, in order
+EntailmentFilter = Callable[[Sequence["Chunk"], str, str], list]
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,9 @@ def _count_detail(index, terms, answer, cap, accept, question):
     matches = index.matching(terms)
     raw = len(matches)
     kept = matches[:cap]
-    if accept is None:
+    if accept is None or not kept:
         return len(kept), raw
-    count = sum(1 for pos in kept if accept(index.chunks[pos], question, answer))
-    return count, raw
+    return sum(accept([index.chunks[pos] for pos in kept], question, answer)), raw
 
 
 def cooccurrence_count(
@@ -190,7 +190,7 @@ def cooccurrence_count(
     """Number of chunks containing all stemmed keyword and answer terms.
 
     Matches are truncated at ``cap`` (>= 1) in corpus order before the optional
-    entailment filter is applied; zero is a valid count.
+    entailment filter is applied to them in one call; zero is a valid count.
     """
     if not answer or not keywords:
         raise ValidationError("keywords and answer must be non-empty")
@@ -232,8 +232,8 @@ def build_ground_truth(
 ) -> list:
     """One GroundTruthRecord per spec, sorted by question_id.
 
-    Specs are counted in order, so ``accept`` sees kept chunks in corpus
-    order, one call at a time.
+    Specs are counted in order, so ``accept`` sees each answer's kept
+    chunks in corpus order, in one call.
     """
     if not cap >= 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")

@@ -96,14 +96,18 @@ def filter_script(tmp_path):
     return script
 
 
-def run_cli_process(*args, env=None):
-    """Run the CLI in a child process, so a hang fails the test by timeout."""
+def run_cli_process(*args, env=None, filter_timeout_s=None):
+    """Run the CLI in a child process, so a hang fails the test by timeout;
+    ``filter_timeout_s`` replaces cli.FILTER_TIMEOUT_S in that process."""
     src = str(Path(ambiuq.__file__).resolve().parents[1])
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["-m", "ambiuq.cli", *args]
+    if filter_timeout_s is not None:
+        argv = ["-c", f"import sys; from ambiuq import cli; cli.FILTER_TIMEOUT_S = "
+                      f"{filter_timeout_s!r}; sys.exit(cli.main({[str(a) for a in args]!r}))"]
     return subprocess.run(
-        [sys.executable, "-m", "ambiuq.cli", *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60,
     )
 
 
@@ -239,7 +243,7 @@ class TestBuildGT:
         accept.proc.wait(timeout=60)
         chunk = Chunk("d", "d:0", "heat", frozenset({"heat"}))
         with pytest.raises(OSError, match="exited with code 3"):
-            accept(chunk, "q?", "heat")
+            accept([chunk], "q?", "heat")
         accept.close()
 
     def test_mute_filter_cmd_times_out(
@@ -344,6 +348,137 @@ class TestBuildGT:
         assert ids == {"q-frozen"}
 
 
+class TestFilterCmdPipeline:
+    """The requests of one (spec, answer) go out without waiting for replies."""
+
+    def build(self, tmp_path, corpus, specs, script, **kwargs):
+        child = tmp_path / "child.py"
+        child.write_text(script)
+        out = tmp_path / "filtered.jsonl"  # build_gt writes gt.jsonl
+        proc = run_cli_process(
+            "build-gt", "--corpus", corpus, "--specs", specs, "--out", out,
+            "--filter-cmd", f"{sys.executable} {child}", **kwargs,
+        )
+        return proc, out
+
+    def test_requests_are_one_json_line_per_kept_chunk_in_order(
+        self, tmp_path, fixture_corpus, fixture_specs
+    ):
+        from ambiuq import corpus, formats
+
+        sent = tmp_path / "sent.jsonl"
+        proc, out = self.build(tmp_path, fixture_corpus, fixture_specs, (
+            "import sys\n"
+            f"with open({str(sent)!r}, 'wb') as fh:\n"
+            "    for line in sys.stdin.buffer:\n"
+            "        fh.write(line)\n"
+            "        fh.flush()\n"
+            "        print('yes', flush=True)\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        docs = [doc for _, doc in formats.read_jsonl(fixture_corpus, formats.parse_corpus_doc)[0]]
+        specs = [s for _, s in formats.read_jsonl(fixture_specs, formats.parse_question_spec,
+                                                   by_id=True)[0]]
+        expected = []
+
+        def record(chunks, question, answer):
+            expected.extend(json.dumps({"chunk_id": c.chunk_id, "text": c.text,
+                                        "question": question, "answer": answer},
+                                       sort_keys=True) + "\n" for c in chunks)
+            return [True] * len(chunks)
+
+        corpus.build_ground_truth(corpus.build_index(corpus.chunk_corpus(docs)), specs,
+                                  accept=record)
+        assert len(expected) == 31 + 32 + 25 + 188 + 91 + 31
+        assert expected[0] == (
+            '{"answer": "Heat", "chunk_id": "d0000:0", "question": "What is one essential '
+            'part of the fire triangle?", "text": "the fire triangle needs heat to ignite."}\n')
+        assert sent.read_bytes() == "".join(expected).encode()
+        # every reply was yes, so the counts are the unfiltered ones
+        plain, _ = build_gt(tmp_path, fixture_corpus, fixture_specs)
+        assert out.read_bytes() == plain.read_bytes()
+
+    def test_replies_and_requests_larger_than_the_pipes(self, tmp_path):
+        # 120 kept chunks of about 2 KB for "tail", 40 of them for "dust", and
+        # 70 KB replies: both pipes fill up within one (spec, answer)
+        docs = [{"doc_id": f"d{i:04d}",
+                 "sections": ["comet tail " + ("dust " if i % 3 == 0 else "") + "ipsum " * 320]}
+                for i in range(120)]
+        corpus_path, specs_path = tmp_path / "corpus.jsonl", tmp_path / "specs.jsonl"
+        write_jsonl(corpus_path, docs)
+        write_jsonl(specs_path, [{"question_id": "q", "question": "What does a comet have?",
+                                  "keywords": ["comet"], "answers": ["tail", "dust"]}])
+        proc, out = self.build(tmp_path, corpus_path, specs_path, (
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    doc = int(json.loads(line)['chunk_id'][1:5])\n"
+            "    reply = 'yes' if doc % 2 == 0 else 'no'\n"
+            "    sys.stdout.write(reply + ' ' * 70_000 + '\\n')\n"
+            "    sys.stdout.flush()\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        (record,) = read_jsonl(out)
+        assert record["counts"] == [60, 20]
+
+    def test_first_invalid_reply_in_a_batch_is_named(
+        self, tmp_path, fixture_corpus, fixture_specs
+    ):
+        proc, out = self.build(tmp_path, fixture_corpus, fixture_specs, (
+            "import sys\n"
+            "for i, line in enumerate(sys.stdin):\n"
+            "    print('yes' if i < 2 else f'bad{i}', flush=True)\n"
+        ))
+        assert proc.returncode == 2
+        assert "replied 'bad2'; expected yes/no" in proc.stderr
+        assert "bad3" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_crlf_replies_are_accepted(self, tmp_path, fixture_corpus, fixture_specs,
+                                       filter_script):
+        proc, out = self.build(tmp_path, fixture_corpus, fixture_specs, (
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    text = json.loads(line)['text']\n"
+            "    ok = 'oxygen' in text or 'heat' in text\n"
+            "    sys.stdout.buffer.write(b'yes\\r\\n' if ok else b'no\\r\\n')\n"
+            "    sys.stdout.flush()\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        lf, _ = build_gt(tmp_path, fixture_corpus, fixture_specs,
+                         "--filter-cmd", f"{sys.executable} {filter_script}")
+        assert out.read_bytes() == lf.read_bytes()
+
+    @pytest.mark.parametrize("reply", [b"yes", b"yes\r"], ids=["no-line-end", "lone-cr"])
+    def test_reply_without_a_line_end_times_out(
+        self, tmp_path, fixture_corpus, fixture_specs, reply
+    ):
+        # the child stays alive after its partial reply, so only the
+        # deadline ends the wait
+        proc, out = self.build(tmp_path, fixture_corpus, fixture_specs, (
+            "import sys, time\n"
+            "sys.stdin.readline()\n"
+            f"sys.stdout.buffer.write({reply!r})\n"
+            "sys.stdout.flush()\n"
+            "time.sleep(60)\n"
+        ), filter_timeout_s=0.5)
+        assert proc.returncode == 1
+        assert "sent no reply in 0.5 s" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_reply_that_is_not_utf8_is_exit_2(self, tmp_path, fixture_corpus, fixture_specs):
+        proc, out = self.build(tmp_path, fixture_corpus, fixture_specs, (
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    sys.stdout.buffer.write(b'\\xff\\n')\n"
+            "    sys.stdout.flush()\n"
+        ))
+        assert proc.returncode == 2
+        assert r"replied '\\xff'; expected yes/no" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists() and not Path(f"{out}.discards.jsonl").exists()
+
+
 @pytest.fixture
 def fixture_predictions(tmp_path):
     def samples(pairs):
@@ -423,6 +558,25 @@ class TestEval:
         assert "q-frozen: MI disabled" in err
         rows = read_csv(metrics_path)
         assert [r["estimator"] for r in rows] == ["MI", "MSP", "SE"]
+
+    @pytest.mark.parametrize("deltas, gamma", [
+        ([], []), (["--deltas", "0.05,0.5"], []),
+        (["--deltas", "0.1,1"], ["--dirichlet-gamma", "2"]),
+    ], ids=["default-deltas", "two-deltas", "gamma"])
+    def test_metrics_on_eval_records_reproduces_eval_metrics(
+        self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions,
+        fixture_equivalence, deltas, gamma,
+    ):
+        gt, _ = build_gt(tmp_path, fixture_corpus, fixture_specs)
+        code, records, metrics = self.run_eval(
+            tmp_path, gt, fixture_predictions, "--equivalence", str(fixture_equivalence),
+            *deltas, *gamma,
+        )
+        assert code == 0
+        again = tmp_path / "again.csv"
+        assert main(["metrics", "--records", str(records), "--metrics-out", str(again),
+                     *deltas]) == 0
+        assert again.read_bytes() == metrics.read_bytes()
 
     def test_eval_true_eu_matches_library_path(
         self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions,

@@ -146,13 +146,13 @@ class TestCooccurrence:
     def test_filter_reduces_counts(self):
         texts = ["comet dust tail"] * 4
         index = build_index(make_chunks(texts))
-        odd_only = lambda chunk, q, a: chunk.chunk_id.endswith(("1", "3"))
+        odd_only = lambda chunks, q, a: [c.chunk_id.endswith(("1", "3")) for c in chunks]
         assert cooccurrence_count(index, ["comet"], "tail", accept=odd_only) == 2
 
     def test_filter_applied_after_cap(self):
         texts = ["star cluster map"] * 30
         index = build_index(make_chunks(texts))
-        accept_all = lambda chunk, q, a: True
+        accept_all = lambda chunks, q, a: [True] * len(chunks)
         assert cooccurrence_count(index, ["star"], "map", cap=10, accept=accept_all) == 10
 
     def test_empty_inputs_rejected(self):
@@ -237,12 +237,12 @@ class TestGroundTruth:
     def test_accept_all_filter_matches_unfiltered(self):
         index = fixture_index()
         plain = build_ground_truth(index, [FIRE_SPEC])
-        filtered = build_ground_truth(index, [FIRE_SPEC], accept=lambda c, q, a: True)
+        filtered = build_ground_truth(index, [FIRE_SPEC], accept=lambda cs, q, a: [True] * len(cs))
         assert plain == filtered
 
     def test_reject_all_filter_discards_everything(self):
         records = build_ground_truth(
-            fixture_index(), [FIRE_SPEC, FROZEN_SPEC], accept=lambda c, q, a: False
+            fixture_index(), [FIRE_SPEC, FROZEN_SPEC], accept=lambda cs, q, a: [False] * len(cs)
         )
         assert all(r.discarded for r in records)
 
