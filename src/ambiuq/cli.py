@@ -28,7 +28,7 @@ from . import formats
 from . import simlab
 # bench/tracer.py wraps decompose, expected_epistemic and posterior here; nothing calls them
 from .dirichlet import expected_epistemic, posterior
-from .dist import canonical_merge, decompose, row_entropy
+from .dist import decompose, row_entropy
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -36,6 +36,8 @@ from .errors import (
     UQError,
     ValidationError,
 )
+# bench/tracer.py wraps align, align_ensemble, cluster, mutual_information and
+# semantic_entropy here; eval scores on arrays and calls none of them
 from .estimators import (
     DEFAULT_EPSILON,
     EquivalenceMap,
@@ -44,9 +46,10 @@ from .estimators import (
     cluster,
     msp,
     mutual_information,
+    score_questions,
     semantic_entropy,
 )
-from .metrics import EvalRecord, aucroc, concordance, score_columns, summarize
+from .metrics import EvalRecord, aucroc, concordance, summarize
 
 
 def _warn(msg: str) -> None:
@@ -168,15 +171,17 @@ class CommandFilter:
                     raise OSError(f"filter command {self.command!r} exited with code {code}")
                 self._buffer += data
 
-    def close(self) -> None:
+    def close(self) -> bytes:
+        """Reap the child; the reply bytes it sent past the last reply read."""
         import subprocess
 
         # communicate closes stdin, tolerating a broken pipe, and reaps the child
         try:
-            self.proc.communicate(timeout=FILTER_TIMEOUT_S)
+            out, _ = self.proc.communicate(timeout=FILTER_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             self.proc.kill()
-            self.proc.communicate()
+            out, _ = self.proc.communicate()
+        return self._buffer + (out or b"")
 
 
 class FileFilter:
@@ -216,12 +221,16 @@ def cmd_build_gt(args) -> int:
     if args.filter_cmd is not None:
         accept = command_filter = CommandFilter(args.filter_cmd)
 
+    surplus = b""
     try:
         index = corpus_mod.build_index(corpus_mod.chunk_corpus(docs))
         records = corpus_mod.build_ground_truth(index, specs, cap=args.cap, accept=accept)
     finally:
         if command_filter is not None:
-            command_filter.close()
+            surplus = command_filter.close()
+    if surplus:  # replies past the requests put every later decision on the wrong chunk
+        raise ValidationError(f"filter command {args.filter_cmd!r} sent more reply lines "
+                              "than requests")
 
     for r in (r for r in records if r.same_terms):
         _warn(f"{r.question_id}: answers {list(r.same_terms)} require the same stemmed terms, "
@@ -301,42 +310,43 @@ def cmd_eval(args) -> int:
     if not matched:
         raise ValidationError("no question_id is present in both input files")
 
-    score_rows, counts_list, model_list = [], [], []
-    for qid in matched:
-        gt, pred = gt_records[qid], predictions[qid]
-        p_model = cluster(pred, eq)
-        p_star_aligned, p_model_aligned = align(gt.p_star, p_model, eq, epsilon=args.epsilon)
-        counts = canonical_merge(gt.answers, gt.counts, eq.canonical)
-        counts_list.append(np.array([counts.get(c, 0.0) for c in p_star_aligned.classes]))
-        model_list.append(p_model_aligned.probs)
-        scores = {"SE": semantic_entropy(p_model)}
+    # MSP per question, through the msp that bench/tracer.py wraps; the rest on arrays
+    n = len(matched)
+    scores = {name: [None] * n for name in ("MI", "MSP", "SE")}  # names sorted
+    for i, qid in enumerate(matched):
+        pred = predictions[qid]
         try:
-            scores["MSP"] = msp(pred.best_answer_prob)
+            scores["MSP"][i] = msp(pred.best_answer_prob)
         except EstimatorUnavailableError as exc:
             _warn(f"{qid}: MSP disabled: {exc}")
-        if pred.ensemble is not None:
-            scores["MI"] = mutual_information(
-                align_ensemble(pred.ensemble, eq, epsilon=args.epsilon)
-            )
-        else:
+        if pred.ensemble is None:
             _warn(f"{qid}: MI disabled: no ensemble in prediction record")
-        score_rows.append(scores)
+    # each parsed pair is released once its rows are built
+    counts_list, model_list, scores["SE"], scores["MI"] = score_questions(
+        ((gt_records.pop(qid), predictions.pop(qid)) for qid in matched), eq.canonical,
+        args.epsilon)
+
     # [(gamma, truth), ..., ("point", truth)]: one gamma sets the records'
     # truth, none leaves the point estimate, a grid scores every row
     truths = simlab.ablation_truths(counts_list, model_list, gammas)
     truth = truths[0 if len(gammas) == 1 else -1][1]
-    eval_records = [EvalRecord(qid, float(t), scores)
-                    for qid, t, scores in zip(matched, truth, score_rows)]
-    columns = score_columns(eval_records)
+    carried = {name: [i for i, v in enumerate(values) if v is not None]
+               for name, values in scores.items()}
+    columns = {name: (truth[rows], np.array([scores[name][i] for i in rows]))
+               for name, rows in carried.items() if rows}
+    score_rows = [{name: values[i] for name, values in scores.items() if values[i] is not None}
+                  for i in range(n)]
+    if not (np.isfinite(truth).all() and all(np.isfinite(s).all() for _, s in columns.values())):
+        for qid, t, row in zip(matched, truth.tolist(), score_rows):
+            EvalRecord(qid, t, row)  # raises the first bad record's ValidationError
 
     ablation = []
     if len(gammas) > 1:
         # each estimator is scored on the records that carry it
         for name, (_, score) in columns.items():
-            keep = [i for i, scores in enumerate(score_rows) if name in scores]
             try:
                 ablation += simlab.gamma_ablation(
-                    [(label, values[keep]) for label, values in truths], {name: score})
+                    [(label, values[carried[name]]) for label, values in truths], {name: score})
             except DegenerateInputError as exc:
                 _warn(f"gamma ablation[{name}]: {exc}")
         labels = [*gammas, "point"]
@@ -346,12 +356,13 @@ def cmd_eval(args) -> int:
 
     ablation_out = args.ablation_out or f"{args.metrics_out}.ablation.csv"
     with formats.staged_writes() as stage:
-        formats.write_jsonl(stage(args.records_out),
-                            map(formats.eval_record_to_dict, eval_records))
+        formats.write_jsonl(stage(args.records_out), (
+            {"question_id": qid, "true_eu": t, "scores": scores}  # eval_record_to_dict's layout
+            for qid, t, scores in zip(matched, truth.tolist(), score_rows)))
         if len(gammas) > 1:
             _write_ablation(stage(ablation_out), ablation)
         formats.write_csv(stage(args.metrics_out), fieldnames, rows)
-    print(f"wrote {len(eval_records)} eval records to {args.records_out}")
+    print(f"wrote {n} eval records to {args.records_out}")
     if len(gammas) > 1:
         print(f"wrote gamma ablation to {ablation_out}")
     print(f"wrote metrics for {len(columns)} estimators to {args.metrics_out}")

@@ -12,6 +12,7 @@ The object API delegates to the array layer, so both compute identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,8 @@ class Categorical:
 
     def __post_init__(self):
         classes = tuple(str(c) for c in self.classes)
-        probs = np.asarray(self.probs, dtype=float)
+        # a copy, so that no later write to the caller's array reaches it
+        probs = np.array(self.probs, dtype=float)
         if probs.ndim != 1:
             raise ValidationError("probs must be a 1-D vector")
         if len(classes) != probs.shape[0]:
@@ -57,9 +59,10 @@ class Categorical:
             raise ValidationError("empty distribution")
         if len(set(classes)) != len(classes):
             raise ValidationError("class identifiers must be unique")
-        if not np.isfinite(probs).all():
-            raise ValidationError("probabilities must be finite")
-        if (probs < 0).any():
+        # one pass over Python floats on the passing path; NumPy words the error
+        if not all(0.0 <= v < math.inf for v in probs.tolist()):
+            if not np.isfinite(probs).all():
+                raise ValidationError("probabilities must be finite")
             raise ValidationError("probabilities must be non-negative")
         total = float(probs.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -67,7 +70,6 @@ class Categorical:
                 probs = probs / total
             else:
                 raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        probs = np.ascontiguousarray(probs)
         probs.setflags(write=False)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "probs", probs)
@@ -206,4 +208,5 @@ def normalize(counts, classes=None) -> Categorical:
         raise DegenerateInputError("cannot normalize all-zero counts")
     if classes is None:
         classes = tuple(f"c{i}" for i in range(arr.shape[0]))
-    return Categorical(tuple(classes), arr / total)
+    # a list, so that Categorical's copy of its input is the only array made
+    return Categorical(tuple(classes), [c / total for c in arr.tolist()])

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import Categorical, canonical_merge, entropy, row_kl
+from .dist import Categorical, canonical_merge, entropy, row_entropy, row_kl
 from .errors import EstimatorUnavailableError, ValidationError
 
 DEFAULT_EPSILON = 0.01
@@ -111,28 +111,33 @@ class EnsemblePrediction:
         return self.members[0].classes
 
 
+def cluster_probs(samples, canonical) -> dict:
+    """The {class: probability} of :func:`cluster`, from the samples alone."""
+    sums = canonical_merge((s.text if s.cluster is None else s.cluster for s in samples),
+                           (s.seq_prob for s in samples), canonical)
+    total = sum(sums.values())
+    return {c: v / total for c, v in sums.items()}
+
+
 def cluster(sample_set: AnswerSampleSet, eq: Optional[EquivalenceMap] = None) -> Categorical:
     """Semantic distribution: per-class sums of sequence probabilities,
     normalized. Duplicate answer texts count once per occurrence; classes
     appear in order of first occurrence."""
-    eq = eq or EquivalenceMap()
-    samples = sample_set.samples
-    sums = canonical_merge((s.text if s.cluster is None else s.cluster for s in samples),
-                           (s.seq_prob for s in samples), eq.canonical)
-    total = sum(sums.values())
-    classes = tuple(sums)
-    return Categorical(classes, np.array([sums[c] / total for c in classes]))
+    probs = cluster_probs(sample_set.samples, (eq or EquivalenceMap()).canonical)
+    return Categorical(tuple(probs), list(probs.values()))
 
 
-def _impute(model: dict, joint: tuple, epsilon: float) -> Categorical:
-    """``model`` on the joint support: epsilon for each class it lacks, then
-    renormalized if any class was imputed."""
+def impute_rows(rows, epsilon: float) -> np.ndarray:
+    """(n, k) probabilities from n rows of length k, each a model on its
+    joint support with None for every class the model lacks: epsilon there,
+    and each row that had a None renormalized."""
     if not (0.0 < epsilon < 1.0):
         raise ValidationError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    probs = np.array([model.get(c, epsilon) for c in joint])
-    if len(model) < len(joint):
-        probs = probs / probs.sum()
-    return Categorical(joint, probs)
+    imputed = [None in row for row in rows]
+    out = np.array([[epsilon if p is None else p for p in row] for row in rows])
+    if any(imputed):
+        out[imputed] /= out[imputed].sum(axis=-1, keepdims=True)
+    return out
 
 
 def align(
@@ -148,11 +153,11 @@ def align(
     result always satisfies the KL support precondition.
     """
     eq = eq or EquivalenceMap()
-    star = canonical_merge(p_star.classes, p_star.probs, eq.canonical)
-    model = canonical_merge(p_model.classes, p_model.probs, eq.canonical)
+    star = canonical_merge(p_star.classes, p_star.probs.tolist(), eq.canonical)
+    model = canonical_merge(p_model.classes, p_model.probs.tolist(), eq.canonical)
     joint = tuple(dict.fromkeys([*star, *model]))
-    star_probs = np.array([star.get(c, 0.0) for c in joint])
-    return Categorical(joint, star_probs), _impute(model, joint, epsilon)
+    return (Categorical(joint, [star.get(c, 0.0) for c in joint]),
+            Categorical(joint, impute_rows([[model.get(c) for c in joint]], epsilon)[0]))
 
 
 def align_ensemble(
@@ -161,9 +166,10 @@ def align_ensemble(
     """Align ensemble members onto their joint canonical support, imputing
     epsilon (then renormalizing) wherever a member lacks a class."""
     eq = eq or EquivalenceMap()
-    merged = [canonical_merge(m.classes, m.probs, eq.canonical) for m in members]
+    merged = [canonical_merge(m.classes, m.probs.tolist(), eq.canonical) for m in members]
     joint = tuple(dict.fromkeys([c for m in merged for c in m]))
-    return EnsemblePrediction(tuple(_impute(m, joint, epsilon) for m in merged))
+    rows = impute_rows([[m.get(c) for c in joint] for m in merged], epsilon)
+    return EnsemblePrediction(tuple(Categorical(joint, row) for row in rows))
 
 
 def semantic_entropy(p: Categorical) -> float:
@@ -192,15 +198,25 @@ def ensemble_mean_mi(members) -> tuple:
     """(p_bar, MI) of m member arrays, each (k,) or (n, k): the member mean,
     and mean_i KL(p_i || p_bar) per row, in nats.
 
-    The members are added one by one, which gives the floats of
-    np.stack(members).mean(axis=0) without an (m, n, k) array. For the
-    same reason (n, k) members get one KL call each; (k,) members share
-    one stacked call, which gives the same rows at a fraction of the cost.
+    (k,) members are one ensemble of :func:`stacked_ensemble_mi`. (n, k)
+    members are added one by one, which gives the floats of
+    np.stack(members).mean(axis=0) without an (m, n, k) array, and get one
+    KL call each. Their m KL values are averaged member by member, where
+    (k,) members average pairwise, so from m = 8 on the two can differ in
+    the last bit.
     """
+    if members[0].ndim == 1:
+        return stacked_ensemble_mi(np.stack(members))
     p_bar = sum(members[1:], members[0]) / len(members)
-    kl = (row_kl(np.stack(members), p_bar) if p_bar.ndim == 1
-          else np.stack([row_kl(member, p_bar) for member in members]))
-    return p_bar, kl.mean(axis=0)
+    return p_bar, np.stack([row_kl(member, p_bar) for member in members]).mean(axis=0)
+
+
+def stacked_ensemble_mi(stacked: np.ndarray) -> tuple:
+    """(p_bar, MI) of ensembles stacked as (..., m, k), m members over k
+    classes each: row i holds the floats of ensemble_mean_mi(list(stacked[i]))."""
+    m = stacked.shape[-2]
+    p_bar = sum((stacked[..., j, :] for j in range(1, m)), stacked[..., 0, :]) / m
+    return p_bar, row_kl(stacked, p_bar[..., None, :]).mean(axis=-1)
 
 
 def mutual_information(e: EnsemblePrediction) -> float:
@@ -209,3 +225,42 @@ def mutual_information(e: EnsemblePrediction) -> float:
     Equals H(p_bar) - mean_i H(p_i); bounded by the entropy of the mean.
     """
     return float(ensemble_mean_mi([m.probs for m in e.members])[1])
+
+
+def _by_shape(groups: dict, n: int, score) -> list:
+    """One value per question, None where it is in no group: ``score`` maps
+    the items of each {shape: [(question, item), ...]} group to their values."""
+    out = [None] * n
+    for group in groups.values():
+        questions, items = zip(*group)
+        for i, value in zip(questions, score(items)):
+            out[i] = value
+    return out
+
+
+def score_questions(questions, canonical, epsilon: float) -> tuple:
+    """``eval`` on arrays: (counts rows, model rows, SE, MI) of (ground truth,
+    prediction) pairs, MI None where there is no ensemble, each value the
+    object API's. One pass does each pair's string work (canonical merges,
+    joint supports) and files its rows by support shape, keeping no pair;
+    then each shape is scored by one call per quantity."""
+    counts_rows, clusters, models, ensembles = [], {}, {}, {}
+    for i, (gt, pred) in enumerate(questions):
+        model = cluster_probs(pred.samples, canonical)
+        counts = canonical_merge(gt.answers, gt.counts, canonical)
+        joint = tuple(dict.fromkeys([*counts, *model]))
+        counts_rows.append([counts.get(c, 0.0) for c in joint])
+        clusters.setdefault(len(model), []).append((i, list(model.values())))
+        models.setdefault(len(joint), []).append((i, [model.get(c) for c in joint]))
+        if pred.ensemble is not None:
+            merged = [canonical_merge(m.classes, m.probs.tolist(), canonical)
+                      for m in pred.ensemble]
+            joint = tuple(dict.fromkeys([c for m in merged for c in m]))
+            ensembles.setdefault((len(merged), len(joint)), []).append(
+                (i, [[m.get(c) for c in joint] for m in merged]))
+    n = len(counts_rows)
+    se = _by_shape(clusters, n, lambda probs: row_entropy(np.array(probs)).tolist())
+    mi = _by_shape(ensembles, n, lambda group: stacked_ensemble_mi(
+        impute_rows([row for rows in group for row in rows], epsilon)
+        .reshape(len(group), len(group[0]), -1))[1].tolist())
+    return counts_rows, _by_shape(models, n, lambda rows: impute_rows(rows, epsilon)), se, mi

@@ -7,15 +7,21 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ambiuq
-from ambiuq import bounds, cli
+from ambiuq import bounds, cli, formats, simlab
 from ambiuq.cli import main
+from ambiuq.dist import Categorical, canonical_merge, decompose, normalize
+from ambiuq.estimators import (EquivalenceMap, align, align_ensemble, cluster, msp,
+                               mutual_information, semantic_entropy)
 
 LN2 = math.log(2.0)
 
@@ -286,6 +292,24 @@ class TestBuildGT:
         assert code == 2
         assert "replied 'maybe'; expected yes/no" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_filter_cmd_extra_reply_lines_exit_2(self, tmp_path, fixture_specs, capsys):
+        # two lines per request shifted every later decision onto the wrong
+        # chunk, and build-gt wrote fire counts [5, 5, 1] where they are [10, 10, 2]
+        corpus = tmp_path / "fire.jsonl"
+        write_jsonl(corpus, [{"doc_id": f"d{i}", "sections": [text]} for i, text in enumerate(
+            ["the fire triangle needs heat and fuel."] * 8
+            + ["the fire triangle needs heat, fuel and oxygen."] * 2)])
+        twice = tmp_path / "twice.py"
+        twice.write_text("import sys\nfor line in sys.stdin:\n    print('yes\\nno', flush=True)\n")
+        out = tmp_path / "gt.jsonl"
+        code = main(["build-gt", "--corpus", str(corpus), "--specs", str(fixture_specs),
+                     "--out", str(out), "--filter-cmd", f"{sys.executable} {twice}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"filter command '{sys.executable} {twice}' sent more reply lines than requests" \
+            in err
+        assert not out.exists() and not Path(f"{out}.discards.jsonl").exists()
 
     def test_filter_cmd_and_filter_file_are_exclusive(self, tmp_path, fixture_corpus,
                                                       fixture_specs, filter_script, capsys):
@@ -956,6 +980,130 @@ class TestEval:
         assert code == 2
 
 
+    def test_infinite_true_eu_names_its_record(self, tmp_path, capsys):
+        # 5e-324 / 2 rounds to 0, so q2's model gives "a" no mass where p* does
+        gt, preds = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl"
+        write_jsonl(gt, [{"question_id": qid, "answers": ["a", "b"], "counts": [1, 1],
+                          "discarded": False, "p_star": {"classes": ["a", "b"],
+                                                         "probs": [0.5, 0.5]}}
+                         for qid in ("q1", "q2")])
+        write_jsonl(preds, [
+            {"question_id": "q1", "samples": [{"text": "a", "seq_prob": 0.5}]},
+            {"question_id": "q2", "samples": [
+                {"text": t, "seq_prob": p} for t, p in (("a", 5e-324), ("b", 1.0), ("c", 1.0))]}])
+        code, records, _ = self.run_eval(tmp_path, gt, preds)
+        assert code == 2
+        assert "error: q2: true_eu must be finite and >= 0, got inf" in capsys.readouterr().err
+        assert not records.exists()
+
+    def test_builds_no_categorical_after_parsing(self, tmp_path, fixture_corpus, fixture_specs,
+                                                 fixture_predictions, monkeypatch):
+        # per-record math runs on arrays: each Categorical eval builds is a
+        # parsed p* or ensemble member
+        gt, _ = build_gt(tmp_path, fixture_corpus, fixture_specs)
+        parsed = (sum("p_star" in row for row in read_jsonl(gt))
+                  + sum(len(row.get("ensemble") or ()) for row in read_jsonl(fixture_predictions)))
+        built = []
+        post_init = Categorical.__post_init__
+        monkeypatch.setattr(Categorical, "__post_init__",
+                            lambda self: (built.append(self.classes), post_init(self))[1])
+        code, _, _ = self.run_eval(tmp_path, gt, fixture_predictions, "--dirichlet-gamma", "1,2")
+        assert code == 0
+        assert len(built) == parsed == 4
+
+
+# answer names and the case, punctuation and spacing variants that merge with them
+NAMES = ["paris", "new york", "rome", "lima", "oslo"]
+VARIANT = st.sampled_from([str, str.upper, str.title, lambda s: f"{s}!", lambda s: f" '{s}' ",
+                           lambda s: s.replace(" ", "  ")])
+LABELS = st.builds(lambda name, variant: variant(name), st.sampled_from(NAMES), VARIANT)
+# a probs vector scaled off 1 by nothing, by less than SUM_TOL or into the
+# band up to RENORM_TOL that Categorical renormalizes
+DRIFT = st.sampled_from([1.0, 1.0 + 4e-10, 1.0 + 5e-9, 1.0 - 4e-7, 1.0 + 9e-7])
+
+
+def _probs(draw, k):
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    drift = draw(DRIFT)
+    return [w / sum(weights) * drift for w in weights]
+
+
+@st.composite
+def eval_question(draw, qid):
+    """(ground-truth row, prediction row) of one question."""
+    answers = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(0, 30), min_size=len(answers), max_size=len(answers))
+                  .map(lambda c: c if any(c) else [1, *c[1:]]))
+    drift = draw(DRIFT)
+    gt = {"question_id": qid, "answers": answers, "counts": counts, "discarded": False,
+          "p_star": {"classes": answers, "probs": [c / sum(counts) * drift for c in counts]}}
+    samples = [{"text": text, "seq_prob": draw(st.floats(0.01, 1.0))}
+               for text in draw(st.lists(LABELS, min_size=1, max_size=6))]
+    if draw(st.booleans()):
+        samples[0]["cluster"] = draw(LABELS)
+    pred = {"question_id": qid, "samples": samples}
+    if draw(st.booleans()):
+        pred["best_answer_prob"] = draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):  # 1..9 members cross the 8 from which numpy sums pairwise
+        members = draw(st.lists(st.lists(LABELS, min_size=1, max_size=4, unique=True),
+                                min_size=1, max_size=9))
+        pred["ensemble"] = [{"classes": classes, "probs": _probs(draw, len(classes))}
+                            for classes in members]
+    return gt, pred
+
+
+@settings(max_examples=150, deadline=None)
+@given(questions=st.integers(1, 6).flatmap(
+           lambda n: st.tuples(*(eval_question(f"q{i}") for i in range(n)))),
+       gammas=st.sampled_from([(), (2.0,), (1.0, 5.0)]),
+       epsilon=st.sampled_from([0.01, 0.1, 1e-3]),
+       equivalence=st.sampled_from([None, {"Rome": "paris"}]))
+def test_eval_records_equal_the_object_api(questions, gammas, epsilon, equivalence):
+    # every record's SE, MSP, MI and true EU are the object API's values, and
+    # metrics on the records reproduces eval's metrics CSV byte for byte
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_jsonl(tmp / "gt.jsonl", [gt for gt, _ in questions])
+        write_jsonl(tmp / "preds.jsonl", [pred for _, pred in questions])
+        args = ["eval", "--ground-truth", tmp / "gt.jsonl", "--predictions", tmp / "preds.jsonl",
+                "--records-out", tmp / "records.jsonl", "--metrics-out", tmp / "eval.csv",
+                "--epsilon", repr(epsilon)]
+        if gammas:
+            args += ["--dirichlet-gamma", ",".join(map(str, gammas))]
+        if equivalence:
+            (tmp / "eq.json").write_text(json.dumps(equivalence))
+            args += ["--equivalence", tmp / "eq.json"]
+        code = main([str(a) for a in args])
+        if code == 3:  # no metric is defined on these records; nothing is written
+            assert not (tmp / "records.jsonl").exists()
+            return
+        assert code == 0
+        assert main(["metrics", "--records", str(tmp / "records.jsonl"),
+                     "--metrics-out", str(tmp / "metrics.csv")]) == 0
+        assert (tmp / "metrics.csv").read_bytes() == (tmp / "eval.csv").read_bytes()
+        records = read_jsonl(tmp / "records.jsonl")
+
+    eq = EquivalenceMap(equivalence)
+    assert [r["question_id"] for r in records] == [gt["question_id"] for gt, _ in questions]
+    for record, (gt_row, pred_row) in zip(records, questions):  # q0, q1, ... sort as drawn
+        gt, pred = formats.parse_ground_truth(gt_row), formats.parse_prediction(pred_row)
+        p_model = cluster(pred, eq)
+        star, model = align(gt.p_star, p_model, eq, epsilon=epsilon)
+        merged = canonical_merge(gt.answers, gt.counts, eq.canonical)
+        counts = np.array([merged.get(c, 0.0) for c in star.classes])
+        scores = {"SE": semantic_entropy(p_model)}
+        if pred.best_answer_prob is not None:
+            scores["MSP"] = msp(pred.best_answer_prob)
+        if pred.ensemble is not None:
+            scores["MI"] = mutual_information(align_ensemble(pred.ensemble, eq, epsilon=epsilon))
+        assert record["scores"] == scores
+        truths = simlab.ablation_truths([counts], [model.probs], gammas)
+        assert record["true_eu"] == truths[0 if len(gammas) == 1 else -1][1][0]
+        if len(gammas) != 1:  # the point truth
+            point = decompose(normalize(counts, star.classes), model).epistemic
+            assert abs(record["true_eu"] - point) <= 1e-15
+
+
 class TestBounds:
     def test_report_fields(self, tmp_path, capsys):
         code = main(["bounds", "--k", "3", "--delta", "0.5"])
@@ -1362,17 +1510,36 @@ class TestMetricsCommand:
         assert not metrics.exists()
 
 
-def test_bench_tracer_finds_every_name_it_wraps():
-    # bench/tracer.py wraps names that cli, simlab, formats and corpus bind;
-    # a refactor that unbinds one breaks every traced benchmark run
+# names the tracer replaces: every module-level ambiuq binding that install() rebinds
+_TRACER_PROBE = """
+import json, sys
+import tracer
+modules = {name[len("ambiuq."):]: vars(module) for name, module in sys.modules.items()
+           if name.startswith("ambiuq.")}
+before = {(stem, name): value for stem, names in modules.items() for name, value in names.items()}
+tracer.install(tracer.Tracer(0))
+print(json.dumps(sorted(key for key, value in before.items()
+                        if modules[key[0]][key[1]] is not value)))
+"""
+
+
+@pytest.fixture(scope="module")
+def tracer_install():
+    """(returncode, stderr, {(module, name)} replaced) of tracer.install in a fresh process."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "bench"]),
            "PYTHONDONTWRITEBYTECODE": "1"}  # leave bench/ as it is
-    proc = subprocess.run(
-        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer(0))"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", _TRACER_PROBE],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    replaced = {tuple(key) for key in json.loads(proc.stdout)} if proc.returncode == 0 else set()
+    return proc.returncode, proc.stderr, replaced
+
+
+def test_bench_tracer_finds_every_name_it_wraps(tracer_install):
+    # bench/tracer.py wraps names that cli, simlab, formats and corpus bind;
+    # a refactor that unbinds one breaks every traced benchmark run
+    returncode, stderr, _ = tracer_install
+    assert returncode == 0, stderr
 
 
 def test_bench_tracer_runs_every_subcommand(tmp_path, fixture_corpus, fixture_specs,
@@ -1524,10 +1691,13 @@ def test_two_outputs_may_both_be_a_device(tmp_path, capsys):
 # Names that bench/tracer.py wraps in these modules although src/ calls them
 # nowhere. Each one leaves this list once the benchmark stops wrapping it.
 TRACER_ONLY_IMPORTS = {("cli", "decompose"), ("cli", "expected_epistemic"),
-                       ("cli", "posterior"), ("simlab", "alpha_delta")}
+                       ("cli", "posterior"), ("simlab", "alpha_delta"),
+                       # eval scores on arrays; the tracer still wraps the object API here
+                       ("cli", "align"), ("cli", "align_ensemble"), ("cli", "cluster"),
+                       ("cli", "mutual_information"), ("cli", "semantic_entropy")}
 
 
-def test_every_import_is_used():
+def test_every_import_is_used(tracer_install):
     # __init__ imports only to re-export the public names
     src = Path(ambiuq.__file__).resolve().parent
     unused = set()
@@ -1543,6 +1713,8 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == TRACER_ONLY_IMPORTS
+    # an allowlisted name must be one tracer.install replaces, so no entry outlives its use
+    assert TRACER_ONLY_IMPORTS <= tracer_install[2]
 
 
 def test_no_module_uses_another_modules_private_names():

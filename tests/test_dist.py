@@ -84,6 +84,31 @@ class TestCategorical:
         with pytest.raises(ValidationError, match="1-D vector"):
             Categorical(("a", "b"), [[0.5, 0.5]])
 
+    def test_owns_its_probs(self):
+        # the caller's array stays writeable, and a later write to it (here
+        # to a row of a 2-D buffer) leaves the distribution as it was
+        probs = np.array([0.25, 0.75])
+        Categorical(("a", "b"), probs)
+        assert probs.flags.writeable
+        rows = np.array([[0.5, 0.5], [0.25, 0.75]])
+        c = Categorical(("a", "b"), rows[0])
+        rows[0, 0] = 0.9
+        assert c.probs.tolist() == [0.5, 0.5]
+        assert not c.probs.flags.writeable
+
+    @pytest.mark.parametrize("probs, message", [
+        ([0.5, math.nan], "probabilities must be finite"),
+        ([math.inf, 0.5], "probabilities must be finite"),
+        ([-math.inf, 1.0], "probabilities must be finite"),
+        ([-1.0, math.nan], "probabilities must be finite"),  # finite is checked first
+        ([1.2, -0.2], "probabilities must be non-negative"),
+        ([-0.0, 1.5], "probabilities sum to 1.5, not 1"),  # -0.0 is not negative
+    ])
+    def test_value_checks_keep_their_messages(self, probs, message):
+        with pytest.raises(ValidationError) as err:
+            Categorical(("a", "b"), probs)
+        assert str(err.value) == message
+
     def test_round_trips_to_dict(self):
         # the {classes, probs} wire format is read and written in formats
         c = cat([0.25, 0.75], classes=("x", "y"))
