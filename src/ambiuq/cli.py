@@ -25,6 +25,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 from . import formats
+from . import porter
 from . import simlab
 # bench/tracer.py wraps decompose, expected_epistemic and posterior here; nothing calls them
 from .dirichlet import expected_epistemic, posterior
@@ -98,15 +99,24 @@ def _check_size(value: int, flag: str, low: int, high: int) -> None:
 FILTER_TIMEOUT_S = 30.0  # longest wait for the next --filter-cmd reply line, or for its exit
 
 
+def _request_lines(chunks, question: str, answer: str):
+    """Per chunk, json.dumps({"chunk_id", "text", "question", "answer"},
+    sort_keys=True) + "\\n" as bytes, from json.dumps's own string escaper."""
+    quote = json.encoder.encode_basestring_ascii
+    head = f'{{"answer": {quote(answer)}, "chunk_id": '
+    middle = f', "question": {quote(question)}, "text": '
+    return (f"{head}{quote(c.chunk_id)}{middle}{quote(c.text)}}}\n".encode() for c in chunks)
+
+
 class CommandFilter:
     """Entailment filter backed by an external command.
 
     The command receives one JSON object per line on stdin
     ({"chunk_id", "text", "question", "answer"}) and must reply with one
     line per object, in order: yes/no, accept/reject, true/false, or 1/0.
-    A call sends its requests without waiting for replies. A command that
-    exits before replying is an I/O error naming its exit code; one that
-    sends no reply line within FILTER_TIMEOUT_S is killed, also an I/O error.
+    Requests go out without waiting for replies. A command that exits before
+    replying is an I/O error naming its exit code; one that sends no reply
+    line within FILTER_TIMEOUT_S is killed, also an I/O error.
     """
 
     _YES = {"yes", "accept", "true", "1"}
@@ -128,27 +138,46 @@ class CommandFilter:
         os.set_blocking(self.proc.stdin.fileno(), False)
         self._buffer = b""  # reply bytes not yet split into lines
 
-    def __call__(self, chunks, question: str, answer: str) -> list:
+    def _take_replies(self, replies: list, n: int) -> bool:
+        """Append to ``replies``, up to n in all, the decisions of the complete
+        reply lines at the front of the buffer; whether there was one."""
+        *lines, self._buffer = self._buffer.split(b"\n", n - len(replies))
+        for line in lines:
+            reply = line.decode("utf-8", "backslashreplace").strip().casefold()
+            if reply not in self._YES and reply not in self._NO:
+                raise ValidationError(f"filter command {self.command!r} replied {reply!r}; "
+                                      "expected yes/no")
+            replies.append(reply in self._YES)
+        return bool(lines)
+
+    def __call__(self, batches):
+        """One decision list per (chunks, question, answer) batch, in order.
+        Batch i+1 is taken once batch i is written and the only one unanswered,
+        so the command answers one batch while it receives the next."""
         import select
 
-        requests = (json.dumps({"chunk_id": chunk.chunk_id, "text": chunk.text,
-                                "question": question, "answer": answer},
-                               sort_keys=True).encode() + b"\n" for chunk in chunks)
-        pending = next(requests, b"")
+        batches = iter(batches)
         stdin, stdout = self.proc.stdin.fileno(), self.proc.stdout.fileno()
-        replies = []
+        owed, replies, requests, pending = [], [], iter(()), b""  # owed: replies per batch
         deadline = time.monotonic() + FILTER_TIMEOUT_S
         while True:
-            *lines, self._buffer = self._buffer.split(b"\n", len(chunks) - len(replies))
-            for line in lines:
-                reply = line.decode("utf-8", "backslashreplace").strip().casefold()
-                if reply not in self._YES and reply not in self._NO:
-                    raise ValidationError(f"filter command {self.command!r} replied {reply!r}; "
-                                          "expected yes/no")
-                replies.append(reply in self._YES)
-                deadline = time.monotonic() + FILTER_TIMEOUT_S
-            if len(replies) == len(chunks):
-                return replies
+            pending = pending or next(requests, b"")
+            if not pending and len(owed) < 2:  # every request taken is written
+                batch = next(batches, None)
+                if batch is not None:
+                    owed.append(len(batch[0]))
+                    requests = _request_lines(*batch)
+                    continue
+                if not owed:
+                    return
+            if owed:
+                if self._take_replies(replies, owed[0]):
+                    deadline = time.monotonic() + FILTER_TIMEOUT_S
+                if len(replies) == owed[0] and (len(owed) == 2 or not pending):  # and written
+                    owed.pop(0)
+                    yield replies
+                    replies, deadline = [], time.monotonic() + FILTER_TIMEOUT_S
+                    continue
             timeout = deadline - time.monotonic()
             if timeout <= 0:
                 self.proc.kill()  # close() reaps it
@@ -202,8 +231,9 @@ class FileFilter:
             raise ValidationError(f"{path}:{lineno}: {message}")
         self.decisions = dict(item for _, item in items)
 
-    def __call__(self, chunks, question: str, answer: str) -> list:
-        return [self.decisions.get((question, answer, c.chunk_id), True) for c in chunks]
+    def __call__(self, batches):
+        return ([self.decisions.get((question, answer, c.chunk_id), True) for c in chunks]
+                for chunks, question, answer in batches)
 
 
 def cmd_build_gt(args) -> int:
@@ -224,6 +254,7 @@ def cmd_build_gt(args) -> int:
     surplus = b""
     try:
         index = corpus_mod.build_index(corpus_mod.chunk_corpus(docs))
+        porter.stem.cache_clear()  # the corpus words; counting stems only keywords and answers
         records = corpus_mod.build_ground_truth(index, specs, cap=args.cap, accept=accept)
     finally:
         if command_filter is not None:

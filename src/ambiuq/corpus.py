@@ -3,7 +3,7 @@
 Pipeline: chunk documents into their lowest-level text units, stem every
 token, build an inverted index over stemmed terms, count chunks in which all
 keyword terms and all answer terms co-occur (capped, optionally passed
-through an entailment filter, one call per answer), and normalize the
+through an entailment filter, one streamed call per run), and normalize the
 per-answer counts into a ground-truth answer distribution. Questions where
 any candidate answer has zero counts are discarded but retained in a
 discard log.
@@ -11,6 +11,7 @@ discard log.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -27,8 +28,9 @@ DEFAULT_CAP = 1000
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
-# accept(chunks, question, answer): one accept/reject decision per chunk, in order
-EntailmentFilter = Callable[[Sequence["Chunk"], str, str], list]
+# accept(batches): each batch is (chunks, question, answer); yields one list of
+# accept/reject decisions per batch, one per chunk, in batch order
+EntailmentFilter = Callable[[Iterable[tuple]], Iterator[list]]
 
 
 @dataclass(frozen=True)
@@ -168,17 +170,6 @@ def _required_terms(keywords, answer: str) -> set:
     return terms
 
 
-def _count_detail(index, terms, answer, cap, accept, question):
-    if not terms:
-        return 0, 0
-    matches = index.matching(terms)
-    raw = len(matches)
-    kept = matches[:cap]
-    if accept is None or not kept:
-        return len(kept), raw
-    return sum(accept([index.chunks[pos] for pos in kept], question, answer)), raw
-
-
 def cooccurrence_count(
     index: InvertedIndex,
     keywords,
@@ -190,27 +181,38 @@ def cooccurrence_count(
     """Number of chunks containing all stemmed keyword and answer terms.
 
     Matches are truncated at ``cap`` (>= 1) in corpus order before the optional
-    entailment filter is applied to them in one call; zero is a valid count.
+    entailment filter is applied to them as one batch; zero is a valid count.
     """
     if not answer or not keywords:
         raise ValidationError("keywords and answer must be non-empty")
     if not cap >= 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    terms = _required_terms(keywords, answer)
-    count, _ = _count_detail(index, terms, answer, cap, accept, question)
-    return count
+    kept = index.matching(_required_terms(keywords, answer))[:cap]
+    if accept is None or not kept:
+        return len(kept)
+    (decisions,) = accept([([index.chunks[pos] for pos in kept], question, answer)])
+    return sum(decisions)
 
 
-def _spec_record(index, spec: QuestionSpec, cap, accept) -> GroundTruthRecord:
-    if len(set(spec.answers)) != len(spec.answers):
+def _spec_matches(index, specs, cap) -> Iterator[tuple]:
+    """(spec, required terms per answer, (kept positions, raw total) per answer)
+    for each spec in order; (spec, None, None) for a spec with duplicate answers."""
+    for spec in specs:
+        if len(set(spec.answers)) != len(spec.answers):
+            yield spec, None, None
+            continue
+        required = [_required_terms(spec.keywords, answer) for answer in spec.answers]
+        yield spec, required, [(m[:cap], len(m)) for m in map(index.matching, required)]
+
+
+def _spec_record(spec: QuestionSpec, required, found, decisions) -> GroundTruthRecord:
+    if required is None:
         return GroundTruthRecord(
             spec.question_id, spec.answers, (), None, True, "duplicate answers", ()
         )
-    required = [_required_terms(spec.keywords, answer) for answer in spec.answers]
-    counts, raws = zip(*(
-        _count_detail(index, terms, answer, cap, accept, spec.question)
-        for answer, terms in zip(spec.answers, required)
-    ))
+    counts = tuple(len(kept) if decisions is None or not kept else sum(next(decisions))
+                   for kept, _ in found)
+    raws = tuple(raw for _, raw in found)
     same = tuple(a for a, terms in zip(spec.answers, required) if required.count(terms) > 1)
     if min(counts) == 0:
         zeros = [a for a, c in zip(spec.answers, counts) if c == 0]
@@ -232,12 +234,21 @@ def build_ground_truth(
 ) -> list:
     """One GroundTruthRecord per spec, sorted by question_id.
 
-    Specs are counted in order, so ``accept`` sees each answer's kept
-    chunks in corpus order, in one call.
+    Specs are matched once, in order. ``accept`` is called once, on a lazy
+    stream of the (chunks, question, answer) batches that keep a chunk, with
+    the chunks in corpus order, and its decisions are read in that order.
     """
     if not cap >= 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    records = [_spec_record(index, s, cap, accept) for s in specs]
+    matched = _spec_matches(index, specs, cap)
+    decisions = None
+    if accept is not None:  # one pass of matching feeds the filter and the records
+        matched, for_filter = itertools.tee(matched)
+        decisions = iter(accept(
+            ([index.chunks[pos] for pos in kept], spec.question, answer)
+            for spec, _, found in for_filter if found
+            for answer, (kept, _) in zip(spec.answers, found) if kept))
+    records = [_spec_record(*item, decisions) for item in matched]
     return sorted(records, key=lambda r: r.question_id)
 
 

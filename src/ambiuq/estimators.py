@@ -199,16 +199,14 @@ def ensemble_mean_mi(members) -> tuple:
     and mean_i KL(p_i || p_bar) per row, in nats.
 
     (k,) members are one ensemble of :func:`stacked_ensemble_mi`. (n, k)
-    members are added one by one, which gives the floats of
-    np.stack(members).mean(axis=0) without an (m, n, k) array, and get one
-    KL call each. Their m KL values are averaged member by member, where
-    (k,) members average pairwise, so from m = 8 on the two can differ in
-    the last bit.
+    members give the floats of stacked_ensemble_mi(np.stack(members, axis=1))
+    without an (n, m, k) array: they are added one by one, get one KL call
+    each, and the (n, m) KL columns are averaged along the last axis.
     """
     if members[0].ndim == 1:
         return stacked_ensemble_mi(np.stack(members))
     p_bar = sum(members[1:], members[0]) / len(members)
-    return p_bar, np.stack([row_kl(member, p_bar) for member in members]).mean(axis=0)
+    return p_bar, np.stack([row_kl(member, p_bar) for member in members], axis=-1).mean(axis=-1)
 
 
 def stacked_ensemble_mi(stacked: np.ndarray) -> tuple:

@@ -249,7 +249,7 @@ class TestBuildGT:
         accept.proc.wait(timeout=60)
         chunk = Chunk("d", "d:0", "heat", frozenset({"heat"}))
         with pytest.raises(OSError, match="exited with code 3"):
-            accept([chunk], "q?", "heat")
+            next(accept([([chunk], "q?", "heat")]))
         accept.close()
 
     def test_mute_filter_cmd_times_out(
@@ -300,8 +300,10 @@ class TestBuildGT:
         write_jsonl(corpus, [{"doc_id": f"d{i}", "sections": [text]} for i, text in enumerate(
             ["the fire triangle needs heat and fuel."] * 8
             + ["the fire triangle needs heat, fuel and oxygen."] * 2)])
-        twice = tmp_path / "twice.py"
-        twice.write_text("import sys\nfor line in sys.stdin:\n    print('yes\\nno', flush=True)\n")
+        twice, sent = tmp_path / "twice.py", tmp_path / "sent.jsonl"
+        twice.write_text(f"import sys\nwith open({str(sent)!r}, 'w') as fh:\n"
+                         "    for line in sys.stdin:\n        fh.write(line)\n"
+                         "        print('yes\\nno', flush=True)\n")
         out = tmp_path / "gt.jsonl"
         code = main(["build-gt", "--corpus", str(corpus), "--specs", str(fixture_specs),
                      "--out", str(out), "--filter-cmd", f"{sys.executable} {twice}"])
@@ -310,6 +312,8 @@ class TestBuildGT:
         assert f"filter command '{sys.executable} {twice}' sent more reply lines than requests" \
             in err
         assert not out.exists() and not Path(f"{out}.discards.jsonl").exists()
+        # every (spec, answer)'s requests were still written: heat, fuel, oxygen, heat
+        assert len(sent.read_text().splitlines()) == 10 + 10 + 2 + 10
 
     def test_filter_cmd_and_filter_file_are_exclusive(self, tmp_path, fixture_corpus,
                                                       fixture_specs, filter_script, capsys):
@@ -390,6 +394,11 @@ class TestFilterCmdPipeline:
     ):
         from ambiuq import corpus, formats
 
+        # one oxygen chunk whose id and text need escaping, with a lone
+        # surrogate that the file's JSON "\\udc80" escape produces
+        with open(fixture_corpus, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"doc_id": 'd\u00e9"\\', "sections": [
+                'the fire triangle needs oxygen: "caf\u00e9" \\ \t\x01\u2603 \udc80']}) + "\n")
         sent = tmp_path / "sent.jsonl"
         proc, out = self.build(tmp_path, fixture_corpus, fixture_specs, (
             "import sys\n"
@@ -405,15 +414,17 @@ class TestFilterCmdPipeline:
                                                    by_id=True)[0]]
         expected = []
 
-        def record(chunks, question, answer):
-            expected.extend(json.dumps({"chunk_id": c.chunk_id, "text": c.text,
-                                        "question": question, "answer": answer},
-                                       sort_keys=True) + "\n" for c in chunks)
-            return [True] * len(chunks)
+        def record(batches):
+            for chunks, question, answer in batches:
+                expected.extend(json.dumps({"chunk_id": c.chunk_id, "text": c.text,
+                                            "question": question, "answer": answer},
+                                           sort_keys=True) + "\n" for c in chunks)
+                yield [True] * len(chunks)
 
         corpus.build_ground_truth(corpus.build_index(corpus.chunk_corpus(docs)), specs,
                                   accept=record)
-        assert len(expected) == 31 + 32 + 25 + 188 + 91 + 31
+        assert len(expected) == 31 + 32 + 25 + 1 + 188 + 91 + 31
+        assert '"chunk_id": "d\\u00e9\\"\\\\:0"' in "".join(expected)
         assert expected[0] == (
             '{"answer": "Heat", "chunk_id": "d0000:0", "question": "What is one essential '
             'part of the fire triangle?", "text": "the fire triangle needs heat to ignite."}\n')
@@ -501,6 +512,89 @@ class TestFilterCmdPipeline:
         assert r"replied '\\xff'; expected yes/no" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists() and not Path(f"{out}.discards.jsonl").exists()
+
+
+# JSON text that needs escaping: quotes, backslashes, control and non-ASCII
+# characters, and the lone surrogates that a "\\udc80" escape in an input file gives
+ESCAPED_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\u2603", "\U0001f600",
+     "\ud800", "\udc80", "\udfff"])), max_size=12)
+
+
+class TestFilterStream:
+    """One filter call per run: a stream of (chunks, question, answer) batches in,
+    one decision list per batch out, in order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunks=st.lists(st.tuples(ESCAPED_TEXT, ESCAPED_TEXT), max_size=4),
+           question=ESCAPED_TEXT, answer=ESCAPED_TEXT)
+    def test_request_line_is_the_json_dumps_line(self, chunks, question, answer):
+        from ambiuq.corpus import Chunk
+
+        chunks = [Chunk("d", chunk_id, text, frozenset()) for chunk_id, text in chunks]
+        assert list(cli._request_lines(chunks, question, answer)) == [
+            (json.dumps({"chunk_id": c.chunk_id, "text": c.text, "question": question,
+                         "answer": answer}, sort_keys=True) + "\n").encode() for c in chunks]
+
+    def test_command_filter_takes_at_most_one_batch_ahead(self, tmp_path):
+        from ambiuq.cli import CommandFilter
+        from ambiuq.corpus import Chunk
+
+        taken = 0
+
+        def batches():
+            nonlocal taken
+            for i in range(24):
+                taken += 1
+                yield [Chunk("d", f"d:{i}.{j}", "x", frozenset()) for j in range(i % 3)], "q?", "a"
+
+        child = tmp_path / "yes.py"
+        child.write_text("import sys\nfor line in sys.stdin:\n    print('yes', flush=True)\n")
+        accept = CommandFilter(f"{sys.executable} {child}")
+        try:
+            seen = [(taken, decisions) for decisions in accept(batches())]
+        finally:
+            assert accept.close() == b""
+        assert [decisions for _, decisions in seen] == [[True] * (i % 3) for i in range(24)]
+        # batch i's decisions arrive before batch i + 2 is taken, whatever the timing
+        assert all(n <= i + 2 for i, (n, _) in enumerate(seen))
+
+    def test_file_filter_and_a_plain_callable_answer_each_batch_in_order(self, tmp_path):
+        from ambiuq.cli import FileFilter
+        from ambiuq.corpus import Chunk, QuestionSpec, build_ground_truth, build_index
+
+        decisions = tmp_path / "decisions.jsonl"
+        write_jsonl(decisions, [{"question": "q?", "answer": "b", "chunk_id": "d:1",
+                                 "accept": False}])
+        a, b = (Chunk("d", f"d:{i}", "x", frozenset()) for i in range(2))
+        batches = [([a, b], "q?", "a"), ([], "q?", "b"), ([a, b], "q?", "b"), ([b], "q?", "b")]
+        assert list(FileFilter(str(decisions))(iter(batches))) == [
+            [True, True], [], [True, False], [False]]
+
+        seen = []
+
+        def first_rejected(stream):  # a plain callable: rejects each batch's first chunk
+            for chunks, question, answer in stream:
+                seen.append((question, answer, len(chunks)))
+                yield [False] + [True] * (len(chunks) - 1)
+
+        index = build_index(Chunk("d", f"d:{i}", "x", frozenset(terms)) for i, terms in
+                            enumerate([{"k", "a"}, {"k", "a", "b"}, {"k", "b"}, {"k", "a"}]))
+        specs = [QuestionSpec("s1", "one?", ("k",), ("a", "b")),
+                 QuestionSpec("s0", "zero?", ("k",), ("b", "a"))]
+        records = build_ground_truth(index, specs, accept=first_rejected)
+        assert seen == [("one?", "a", 3), ("one?", "b", 2), ("zero?", "b", 2), ("zero?", "a", 3)]
+        assert [r.counts for r in records] == [(1, 2), (2, 1)]
+
+
+def test_plain_import_loads_no_process_modules():
+    # CommandFilter imports them where it starts a child
+    src = str(Path(ambiuq.__file__).resolve().parents[1])
+    code = ("import sys, ambiuq.cli; "
+            "print(sorted({'select', 'shlex', 'subprocess'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.fixture

@@ -146,13 +146,14 @@ class TestCooccurrence:
     def test_filter_reduces_counts(self):
         texts = ["comet dust tail"] * 4
         index = build_index(make_chunks(texts))
-        odd_only = lambda chunks, q, a: [c.chunk_id.endswith(("1", "3")) for c in chunks]
+        odd_only = lambda batches: ([c.chunk_id.endswith(("1", "3")) for c in chunks]
+                                    for chunks, q, a in batches)
         assert cooccurrence_count(index, ["comet"], "tail", accept=odd_only) == 2
 
     def test_filter_applied_after_cap(self):
         texts = ["star cluster map"] * 30
         index = build_index(make_chunks(texts))
-        accept_all = lambda chunks, q, a: [True] * len(chunks)
+        accept_all = lambda batches: ([True] * len(chunks) for chunks, q, a in batches)
         assert cooccurrence_count(index, ["star"], "map", cap=10, accept=accept_all) == 10
 
     def test_empty_inputs_rejected(self):
@@ -237,12 +238,14 @@ class TestGroundTruth:
     def test_accept_all_filter_matches_unfiltered(self):
         index = fixture_index()
         plain = build_ground_truth(index, [FIRE_SPEC])
-        filtered = build_ground_truth(index, [FIRE_SPEC], accept=lambda cs, q, a: [True] * len(cs))
+        filtered = build_ground_truth(index, [FIRE_SPEC],
+                                      accept=lambda bs: ([True] * len(cs) for cs, q, a in bs))
         assert plain == filtered
 
     def test_reject_all_filter_discards_everything(self):
         records = build_ground_truth(
-            fixture_index(), [FIRE_SPEC, FROZEN_SPEC], accept=lambda cs, q, a: [False] * len(cs)
+            fixture_index(), [FIRE_SPEC, FROZEN_SPEC],
+            accept=lambda bs: ([False] * len(cs) for cs, q, a in bs)
         )
         assert all(r.discarded for r in records)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ambiuq.dirichlet import expected_epistemic, posterior
 from ambiuq.dist import row_entropy, row_kl
 from ambiuq.errors import ConfigurationError, ValidationError
+from ambiuq.estimators import stacked_ensemble_mi
 from ambiuq.formats import parse_sim_config
 from ambiuq.metrics import EvalRecord, concordance, score_columns
 from ambiuq.simlab import (
@@ -225,19 +226,18 @@ class TestRunExperiment:
         assert all(r.scores.keys() == res.scores.keys() for r in records)
 
     @settings(max_examples=60, deadline=None)
-    @given(m=st.integers(2, 9), n=st.integers(1, 40), k=st.integers(2, 7),
+    @given(m=st.integers(2, 12), n=st.integers(1, 40), k=st.integers(2, 7),
            seed=st.integers(0, 2**32 - 1), noise=st.floats(0.05, 100.0),
            regime=st.sampled_from([ZERO_AU, FREE_AU]))
     def test_ensemble_mi_equals_batched_formula(self, m, n, k, seed, noise, regime):
         cfg = SimConfig(k=k, n=n, seed=seed, regime=regime, noise=noise, deltas=(0.25,),
                         ensemble_size=m)
         res = run_experiment(cfg)
-        # the same draws, stacked into one (m, n, k) array
+        # the same draws, stacked into one (n, m, k) array: the object API's floats
         rng = np.random.default_rng(seed)
         p_star = _sample_truths(cfg, rng, n)
-        members = np.stack([_sample_models(p_star, noise, rng) for _ in range(m)])
-        p_model = members.mean(axis=0)
-        mi = row_kl(members, p_model[None, :, :]).mean(axis=0)
+        members = [_sample_models(p_star, noise, rng) for _ in range(m)]
+        p_model, mi = stacked_ensemble_mi(np.stack(members, axis=1))
         assert res.p_model.tobytes() == p_model.tobytes()
         assert res.scores["MI"].tobytes() == mi.tobytes()
 
