@@ -474,8 +474,9 @@ def cmd_simulate(args) -> int:
         if args.scatter_csv:
             formats.write_csv(
                 stage(args.scatter_csv), ["question_id", "predictive_entropy", "true_eu"],
-                zip(question_ids, *([f"{v:.9g}" for v in col.tolist()]
-                                    for col in (result.scores["SE"], result.true_eu))),
+                formats.column_rows((question_ids, iter), *(
+                    (col, lambda v: [f"{x:.9g}" for x in v.tolist()])
+                    for col in (result.scores["SE"], result.true_eu))),
             )
         if args.hist_csv:
             _write_histogram(stage(args.hist_csv), row_entropy(result.p_star), args.hist_bins)

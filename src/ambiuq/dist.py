@@ -88,10 +88,18 @@ class Decomposition:
 
 
 def row_entropy(p: np.ndarray) -> np.ndarray | float:
-    """Shannon entropy -sum(p*ln p) along the last axis, with 0*ln(0) = 0."""
-    p = np.asarray(p, dtype=float)
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    """Shannon entropy -sum(p*ln p) = CE(p, p) along the last axis, with 0*ln(0) = 0."""
+    return row_cross_entropy(p, p)
+
+
+def _log_support(p_star: np.ndarray, p: np.ndarray) -> tuple:
+    """(p* > 0, ln p), ln p in a new array laid out as NumPy lays out p* op p:
+    -inf where p* > 0 >= p, 0.0 where p* <= 0 or p is NaN."""
+    mask = p_star > 0
+    logged = mask & (p > 0)
+    log_p = np.log(p, out=np.zeros_like(logged, dtype=float), where=logged)
+    np.copyto(log_p, -np.inf, where=mask & (p <= 0))
+    return mask, log_p
 
 
 def row_kl(p_star: np.ndarray, p: np.ndarray) -> np.ndarray | float:
@@ -102,11 +110,10 @@ def row_kl(p_star: np.ndarray, p: np.ndarray) -> np.ndarray | float:
     """
     p_star = np.asarray(p_star, dtype=float)
     p = np.asarray(p, dtype=float)
-    mask = p_star > 0
-    log_ps = np.log(np.where(mask, p_star, 1.0))
-    log_p = np.where(mask, np.log(np.where(p > 0, p, 1.0)), 0.0)
-    log_p = np.where(mask & (p <= 0), -np.inf, log_p)
-    terms = np.where(mask, p_star * (log_ps - log_p), 0.0)
+    mask, terms = _log_support(p_star, p)
+    log_ps = np.log(p_star, out=np.empty_like(p_star), where=mask)
+    np.subtract(log_ps, terms, out=terms, where=mask)
+    np.multiply(p_star, terms, out=terms, where=mask)
     return terms.sum(axis=-1)
 
 
@@ -114,10 +121,9 @@ def row_cross_entropy(p_star: np.ndarray, p: np.ndarray):
     """-sum(p* ln p) along the last axis; +inf where p lacks support that p* has."""
     p_star = np.asarray(p_star, dtype=float)
     p = np.asarray(p, dtype=float)
-    mask = p_star > 0
-    log_p = np.where(mask, np.log(np.where(p > 0, p, 1.0)), 0.0)
-    log_p = np.where(mask & (p <= 0), -np.inf, log_p)
-    return -np.where(mask, p_star * log_p, 0.0).sum(axis=-1)
+    mask, terms = _log_support(p_star, p)
+    np.multiply(p_star, terms, out=terms, where=mask)
+    return -terms.sum(axis=-1)
 
 
 def row_js(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:

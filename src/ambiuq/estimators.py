@@ -200,12 +200,15 @@ def ensemble_mean_mi(members) -> tuple:
 
     (k,) members are one ensemble of :func:`stacked_ensemble_mi`. (n, k)
     members give the floats of stacked_ensemble_mi(np.stack(members, axis=1))
-    without an (n, m, k) array: they are added one by one, get one KL call
-    each, and the (n, m) KL columns are averaged along the last axis.
+    without an (n, m, k) array: they are added one by one into a float p_bar,
+    get one KL call each, and the (n, m) KL columns are averaged.
     """
     if members[0].ndim == 1:
         return stacked_ensemble_mi(np.stack(members))
-    p_bar = sum(members[1:], members[0]) / len(members)
+    p_bar = members[0].astype(float)
+    for member in members[1:]:
+        p_bar += member
+    p_bar /= len(members)
     return p_bar, np.stack([row_kl(member, p_bar) for member in members], axis=-1).mean(axis=-1)
 
 

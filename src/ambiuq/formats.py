@@ -12,7 +12,7 @@ import json
 import math
 import os
 from collections import defaultdict
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .simlab import SimConfig
 
 
 _scan = json.decoder.JSONDecoder().scan_once
+ROWS_PER_BLOCK = 1024  # rows a column writer encodes at a time
 
 
 def _decode(line: str):
@@ -320,16 +321,23 @@ def _json_floats(values) -> list:
     return values.tolist() if np.isfinite(values).all() else [json.dumps(v) for v in values]
 
 
+def column_rows(*columns) -> Iterator[tuple]:
+    """zip(*(encode(values) for values, encode in columns)) of (values, encode)
+    pairs, encoding ROWS_PER_BLOCK rows at a time."""
+    for i in range(0, min(len(values) for values, _ in columns), ROWS_PER_BLOCK):
+        yield from zip(*(encode(values[i:i + ROWS_PER_BLOCK]) for values, encode in columns))
+
+
 def write_eval_columns(path, question_ids, true_eu, scores: dict) -> None:
     """write_jsonl(eval_record_to_dict(r) ...)'s bytes, from one column per field."""
     names = sorted(scores)
     fields = ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in names)
     template = '{"question_id": %s, "scores": {' + fields + '}, "true_eu": %s}\n'
     # json.dumps of a str is encode_basestring_ascii of it
-    columns = [list(map(json.encoder.encode_basestring_ascii, question_ids)),
-               *(_json_floats(scores[name]) for name in names), _json_floats(true_eu)]
+    rows = column_rows((question_ids, lambda ids: map(json.encoder.encode_basestring_ascii, ids)),
+                       *((scores[name], _json_floats) for name in names), (true_eu, _json_floats))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(template % row for row in zip(*columns))
+        fh.writelines(template % row for row in rows)
 
 
 def parse_eval_record(obj: dict) -> EvalRecord:

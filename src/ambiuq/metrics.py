@@ -141,7 +141,8 @@ class Summary:
 
 def summarize(values, bins: int = 30) -> Summary:
     """Mean, population standard deviation, and a fixed-bin histogram."""
-    arr = np.asarray(list(values), dtype=float)
+    as_is = isinstance(values, (np.ndarray, list, tuple))
+    arr = np.asarray(values if as_is else list(values), dtype=float)
     if arr.size == 0:
         raise DegenerateInputError("cannot summarize an empty collection")
     try:

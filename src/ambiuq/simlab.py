@@ -124,9 +124,11 @@ def _sample_truths(config: SimConfig, rng: np.random.Generator, n: int) -> np.nd
 
 
 def _sample_models(p_star: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
-    conc = noise * p_star + CONCENTRATION_FLOOR
+    conc = noise * p_star
+    conc += CONCENTRATION_FLOOR
     gammas = rng.gamma(conc)
-    return gammas / gammas.sum(axis=-1, keepdims=True)
+    gammas /= gammas.sum(axis=-1, keepdims=True)
+    return gammas
 
 
 def sample_truth(config: SimConfig, rng: Optional[np.random.Generator] = None) -> Categorical:
@@ -210,17 +212,16 @@ def _verify_thm2(delta: float, se: np.ndarray, eu: np.ndarray) -> dict:
 def run_experiment(config: SimConfig) -> ExperimentResult:
     """Draw a population, score estimators, and verify the bounds.
 
-    Returns the true EU and estimator scores of each draw as arrays, plus a
-    report with per-threshold verification results and concordances. With
-    ensemble_size >= 2 the prediction is the mean of that many independent
-    model draws and the MI estimator is scored against EU = KL(p*||p_mean).
+    Returns the true EU and estimator scores of each draw as arrays, plus a report with
+    per-threshold verification results and concordances. With ensemble_size >= 2 the
+    prediction is the mean of that many independent model draws, which are freed once MI
+    is computed, and the MI estimator is scored against EU = KL(p*||p_mean).
     """
     rng = np.random.default_rng(config.seed)
     p_star = _sample_truths(config, rng, config.n)
     m = config.ensemble_size
     if m >= 2:
-        members = [_sample_models(p_star, config.noise, rng) for _ in range(m)]
-        p_model, mi = ensemble_mean_mi(members)
+        p_model, mi = ensemble_mean_mi([_sample_models(p_star, config.noise, rng) for _ in range(m)])
     else:
         p_model = _sample_models(p_star, config.noise, rng)
         mi = None

@@ -1408,6 +1408,21 @@ class TestSimulate:
             "1.0", "2.0", "5.0", "10.0", "100.0", "point",
         ]
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_scatter_csv_equals_the_list_built_rows(self, tmp_path, blocks, extra):
+        config = {"k": 3, "n": blocks * formats.ROWS_PER_BLOCK + extra, "seed": 4,
+                  "regime": "zero-AU"}
+        scatter = tmp_path / "scatter.csv"
+        code, _, _ = self.run_sim(tmp_path, config, "--scatter-csv", str(scatter))
+        assert code == 0
+        res = simlab.run_experiment(formats.parse_sim_config(config))
+        formats.write_csv(
+            tmp_path / "want.csv", ["question_id", "predictive_entropy", "true_eu"],
+            zip(res.question_ids, *([f"{v:.9g}" for v in col.tolist()]
+                                    for col in (res.scores["SE"], res.true_eu))))
+        assert scatter.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_ablation_rows_are_gamma_first_then_scores_order(self, tmp_path):
         ablation = tmp_path / "ablation.csv"
         code, _, _ = self.run_sim(
@@ -1498,6 +1513,42 @@ class TestSimulate:
 
 # the warnings of _metric_rows for an estimator on one record (MI) and a delta
 # above every true EU (5), in the order of the CSV's cells
+class TestCrossCommand:
+    """simulate's report against what metrics and bounds compute from the
+    same population and the same (k, delta)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(2, 6), n=st.integers(20, 300), m=st.integers(1, 6),
+           regime=st.sampled_from(simlab.REGIMES), seed=st.integers(0, 2**32 - 1),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    def test_metrics_and_bounds_reproduce_the_report(self, tmp_path_factory, k, n, m, regime,
+                                                     seed, fractions):
+        tmp = tmp_path_factory.mktemp("cross")
+        deltas = [f * math.log(k) for f in fractions]
+        config = tmp / "sim.json"
+        config.write_text(json.dumps({"k": k, "n": n, "seed": seed, "regime": regime,
+                                      "ensemble_size": m, "deltas": deltas}))
+        records, report_path, metrics = tmp / "records.jsonl", tmp / "report.json", tmp / "m.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(records),
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+
+        want = {name: "" if c is None else f"{c:.6f}"
+                for name, c in report["concordance"].items()}
+        if main(["metrics", "--records", str(records), "--metrics-out", str(metrics)]) == 0:
+            assert {r["estimator"]: r["concordance"] for r in read_csv(metrics)} == want
+        else:  # exit 3: no metric is defined on these records
+            assert set(want.values()) == {""}
+
+        if regime == simlab.ZERO_AU:
+            for entry in report["theorem_1"]:
+                out = tmp / "bounds.json"
+                assert main(["bounds", "--k", str(k), "--delta", repr(entry["delta"]),
+                             "--out", str(out)]) == 0
+                bound = json.loads(out.read_text())["eu_lower_bound"]
+                assert repr(entry["eu_lower_bound"]) == repr(bound)
+
+
 EXPECTED_WARNINGS = [
     "ambiuq: concordance[MI]: concordance undefined: no pairs with distinct true_eu",
     "ambiuq: aucroc[MI, delta=0.25]: aucroc undefined at delta=0.25: binarization left a "

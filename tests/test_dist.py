@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ambiuq.dist import (
     Categorical,
@@ -13,6 +15,7 @@ from ambiuq.dist import (
     js_divergence,
     kl,
     normalize,
+    row_cross_entropy,
     row_entropy,
     row_js,
     row_kl,
@@ -309,3 +312,80 @@ class TestRowFunctions:
 
     def test_support_violation_gives_inf(self):
         assert row_kl(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == np.inf
+
+
+# The np.where formulas the row kernels replaced, kept as their reference.
+def where_entropy(p):
+    p = np.asarray(p, dtype=float)
+    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def where_log_p(p_star, p):
+    mask = p_star > 0
+    log_p = np.where(mask, np.log(np.where(p > 0, p, 1.0)), 0.0)
+    return mask, np.where(mask & (p <= 0), -np.inf, log_p)
+
+
+def where_kl(p_star, p):
+    p_star, p = np.asarray(p_star, dtype=float), np.asarray(p, dtype=float)
+    mask, log_p = where_log_p(p_star, p)
+    log_ps = np.log(np.where(mask, p_star, 1.0))
+    return np.where(mask, p_star * (log_ps - log_p), 0.0).sum(axis=-1)
+
+
+def where_cross_entropy(p_star, p):
+    p_star, p = np.asarray(p_star, dtype=float), np.asarray(p, dtype=float)
+    mask, log_p = where_log_p(p_star, p)
+    return -np.where(mask, p_star * log_p, 0.0).sum(axis=-1)
+
+
+# probabilities, and the entries a kernel must pass through unchanged
+ENTRIES = (st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, math.nan, 1.0])
+           | st.floats(-1.0, 0.0))
+
+
+@st.composite
+def kernel_operands(draw):
+    """(p*, p): equal 1-D or 2-D shapes, or (n, m, k) against (n, 1, k) in
+    either order, as the stacked ensemble MI passes them."""
+    k = draw(st.integers(1, 12))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    shapes = draw(st.sampled_from([[(k,), (k,)], [(n, k), (n, k)],
+                                   [(n, m, k), (n, 1, k)], [(n, 1, k), (n, m, k)]]))
+    return tuple(draw(arrays(float, shape, elements=ENTRIES)) for shape in shapes)
+
+
+def recorded(fn, *args):
+    """(result bytes, RuntimeWarning messages) of fn(*args)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out.tobytes(), [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+
+class TestRowKernelsInPlace:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_operands())
+    def test_bytes_and_warnings_equal_the_where_formulas(self, operands):
+        p_star, p = operands
+        before = p_star.tobytes(), p.tobytes()
+        for a in (p_star, p):
+            a.setflags(write=False)
+        for kernel, reference, args in (
+                (row_entropy, where_entropy, (p_star,)),
+                (row_entropy, where_entropy, (p,)),
+                (row_kl, where_kl, (p_star, p)),
+                (row_cross_entropy, where_cross_entropy, (p_star, p))):
+            got, want = recorded(kernel, *args), recorded(reference, *args)
+            assert got == want
+            assert want[1] == []
+        assert (p_star.tobytes(), p.tobytes()) == before
+
+    def test_fortran_ordered_rows_sum_in_the_reference_order(self):
+        # k >= 8 rows sum pairwise only when contiguous, so the layout matters
+        rng = np.random.default_rng(4)
+        p_star, p = (np.asfortranarray(rng.dirichlet(np.ones(11), size=7)) for _ in range(2))
+        assert row_kl(p_star, p).tobytes() == where_kl(p_star, p).tobytes()
+        assert row_cross_entropy(p_star, p).tobytes() == where_cross_entropy(p_star, p).tobytes()
+        assert row_entropy(p).tobytes() == where_entropy(p).tobytes()

@@ -283,6 +283,18 @@ class TestMutualInformation:
         assert np.float64(mutual_information(e)).tobytes() == want.tobytes()
         assert ensemble_mean_mi(list(stacked))[0].tobytes() == p_bar.tobytes()
 
+    @pytest.mark.parametrize("dtype", [int, np.float32, float])
+    def test_row_members_give_a_float_mean_and_stay_unchanged(self, dtype):
+        rng = np.random.default_rng(3)
+        members = [rng.integers(1, 5, size=(6, 4)).astype(dtype) for _ in range(3)]
+        before = [m.copy() for m in members]
+        p_bar, mi = ensemble_mean_mi(members)
+        wide = [m.astype(float) for m in members]
+        assert p_bar.dtype == float
+        assert p_bar.tobytes() == (((wide[0] + wide[1]) + wide[2]) / 3).tobytes()
+        assert mi.shape == (6,)
+        assert all(np.array_equal(m, b) and m.dtype == dtype for m, b in zip(members, before))
+
 
 class TestAlignEnsemble:
     def test_union_support_with_epsilon(self):

@@ -139,6 +139,20 @@ class TestWriteEvalColumns:
             tmp_path, ["q"], [0.25], {}
         )
 
+    @pytest.mark.parametrize("n", [0, 1, *(b * formats.ROWS_PER_BLOCK + d
+                                           for b in (1, 2) for d in (-1, 0, 1))])
+    def test_sizes_around_the_block_size(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        ids = [f"q{i:06d}" for i in range(n)]
+        true_eu, se, mi = rng.exponential(size=(3, n))
+        if n:
+            # non-finite values in the last block only, so that the earlier
+            # blocks are written as plain floats and the last through json.dumps
+            mi[-1], true_eu[-1] = math.nan, math.inf
+        scores = {"SE": se, "MI": mi}
+        assert column_bytes(tmp_path, ids, true_eu, scores) == reference_bytes(
+            tmp_path, ids, true_eu, scores)
+
     @pytest.mark.parametrize("ensemble_size", [1, 2, 5])
     def test_simulated_population(self, tmp_path, ensemble_size):
         res = run_experiment(SimConfig(k=4, n=400, seed=3, regime=FREE_AU,

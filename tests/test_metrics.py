@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -230,6 +231,28 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInputError):
             summarize([])
+
+    def test_containers_and_iterables_summarize_alike(self):
+        values = np.random.default_rng(6).exponential(size=300)
+        want = summarize(values, bins=9)
+        for given_values in (values.tolist(), tuple(values.tolist()), iter(values.tolist()),
+                             values[:, None]):
+            got = summarize(given_values, bins=9)
+            assert (got.mean, got.std) == (want.mean, want.std)
+            assert got.bin_edges.tobytes() == want.bin_edges.tobytes()
+            assert got.bin_counts.tobytes() == want.bin_counts.tobytes()
+
+    def test_array_is_not_copied_into_scalars(self):
+        values = np.random.default_rng(7).random(200_000)
+        summarize(values[:10])
+        tracemalloc.start()
+        try:
+            summarize(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one NumPy scalar per value would take 32 bytes each, 4x the array
+        assert peak < 2 * values.nbytes
 
 
 # Small integer grids give heavy ties in truth, in score and in both at once.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ class TestRunExperiment:
         p_model, mi = stacked_ensemble_mi(np.stack(members, axis=1))
         assert res.p_model.tobytes() == p_model.tobytes()
         assert res.scores["MI"].tobytes() == mi.tobytes()
+
+    def test_peak_memory_is_bounded_by_the_members(self):
+        # members, truth, mean and the KL scratch: the peak stays below
+        # m + 5 full (n, k) float arrays
+        cfg = SimConfig(k=10, n=20_000, seed=0, regime=ZERO_AU, ensemble_size=5)
+        run_experiment(SimConfig(k=10, n=20, regime=ZERO_AU, ensemble_size=5))  # lazy imports
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (cfg.ensemble_size + 5) * cfg.n * cfg.k * 8
 
     def test_high_au_population_has_high_aleatoric(self):
         res = run_experiment(SimConfig(k=3, n=2_000, seed=6, regime=HIGH_AU, noise=5.0))
