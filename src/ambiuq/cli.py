@@ -57,9 +57,9 @@ def _warn(msg: str) -> None:
     print(f"ambiuq: {msg}", file=sys.stderr)
 
 
-def _read(path, parse, by_id: bool = False) -> list:
+def _read(path, parse, unique=None) -> list:
     """The parsed items of a JSONL file, after one warning per skipped line."""
-    items, errors = formats.read_jsonl(path, parse, by_id)
+    items, errors = formats.read_jsonl(path, parse, unique)
     for lineno, message in errors:
         _warn(f"{path}:{lineno}: skipped: {message}")
     return [item for _, item in items]
@@ -237,8 +237,8 @@ class FileFilter:
 
 
 def cmd_build_gt(args) -> int:
-    docs = _read(args.corpus, formats.parse_corpus_doc)
-    specs = _read(args.specs, formats.parse_question_spec, by_id=True)
+    docs = _read(args.corpus, formats.parse_corpus_doc, "doc_id")
+    specs = _read(args.specs, formats.parse_question_spec, "question_id")
     if not specs:
         _warn("specs file contains no usable question specs; writing empty dataset")
 
@@ -325,13 +325,13 @@ def cmd_eval(args) -> int:
                         if args.equivalence else None)
 
     gt_records = {}
-    for record in _read(args.ground_truth, formats.parse_ground_truth, by_id=True):
+    for record in _read(args.ground_truth, formats.parse_ground_truth, "question_id"):
         if record.discarded:
             _warn(f"{record.question_id}: ground truth is discarded; skipped")
             continue
         gt_records[record.question_id] = record
     predictions = {pred.question_id: pred
-                   for pred in _read(args.predictions, formats.parse_prediction, by_id=True)}
+                   for pred in _read(args.predictions, formats.parse_prediction, "question_id")}
 
     matched = sorted(set(gt_records) & set(predictions))
     for qid in sorted(set(gt_records) - set(predictions)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dist import Categorical, canonical_merge, normalize, row_js
 from .errors import DegenerateInputError, ValidationError
@@ -28,8 +28,9 @@ DEFAULT_CAP = 1000
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
-# accept(batches): each batch is (chunks, question, answer); yields one list of
-# accept/reject decisions per batch, one per chunk, in batch order
+# accept(batches): each batch is (chunks, question, answer), the chunks as
+# IndexedChunk records; yields one list of accept/reject decisions per batch,
+# one per chunk, in batch order
 EntailmentFilter = Callable[[Iterable[tuple]], Iterator[list]]
 
 
@@ -129,13 +130,22 @@ def chunk_corpus(documents: Iterable) -> Iterator[Chunk]:
                 )
 
 
-class InvertedIndex:
-    """Stemmed term -> sorted chunk positions, over an in-memory chunk list."""
+class IndexedChunk(NamedTuple):
+    """What the filter and the records read of a chunk at an index position."""
 
-    def __init__(self, chunks: Sequence[Chunk]):
-        self.chunks = list(chunks)
+    chunk_id: str
+    text: str
+
+
+class InvertedIndex:
+    """Stemmed term -> sorted chunk positions. Reads its chunks once and keeps
+    each one's chunk_id and text, so no chunk's term set outlives indexing."""
+
+    def __init__(self, chunks: Iterable[Chunk]):
+        self.chunks: list = []
         self._postings: dict = {}
-        for pos, chunk in enumerate(self.chunks):
+        for pos, chunk in enumerate(chunks):
+            self.chunks.append(IndexedChunk(chunk.chunk_id, chunk.text))
             for term in chunk.stemmed_terms:
                 self._postings.setdefault(term, []).append(pos)
 
@@ -159,7 +169,7 @@ class InvertedIndex:
 
 
 def build_index(chunks: Iterable) -> InvertedIndex:
-    return InvertedIndex(list(chunks))
+    return InvertedIndex(chunks)
 
 
 def _required_terms(keywords, answer: str) -> set:

@@ -10,9 +10,10 @@ import contextlib
 import csv
 import json
 import math
+import operator
 import os
 from collections import defaultdict
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -76,15 +77,17 @@ def first_rows(items, key) -> dict:
     return first
 
 
-def read_jsonl(path, parse, by_id: bool = False):
+def read_jsonl(path, parse, unique: Optional[str] = None):
     """Parse a JSONL file into ([(lineno, item), ...], [(lineno, error), ...]);
-    ``by_id`` keeps the first item per question_id, and each later one is an error."""
+    ``unique`` names the item field (question_id, doc_id) whose first row per
+    value is kept, and each later row with that value is an error."""
     errors: list = []
     items = list(_iter_jsonl(path, errors, parse))
-    if by_id:
-        first = first_rows(items, lambda item: item.question_id)
-        errors += [(lineno, f"duplicate question_id {item.question_id!r}")
-                   for lineno, item in items if first[item.question_id][0] != lineno]
+    if unique:
+        key = operator.attrgetter(unique)
+        first = first_rows(items, key)
+        errors += [(lineno, f"duplicate {unique} {key(item)!r}")
+                   for lineno, item in items if first[key(item)][0] != lineno]
         items = list(first.values())
     return items, errors
 
@@ -226,9 +229,14 @@ def parse_sim_config(obj: dict) -> SimConfig:
     return SimConfig(**fields)
 
 
-def parse_corpus_doc(obj: dict) -> tuple:
+class CorpusDoc(NamedTuple):
+    doc_id: str
+    sections: list
+
+
+def parse_corpus_doc(obj: dict) -> CorpusDoc:
     doc_id = _str(obj, "doc_id", "corpus document")
-    return doc_id, list(_strs(obj, "sections", f"document {doc_id}"))
+    return CorpusDoc(doc_id, list(_strs(obj, "sections", f"document {doc_id}")))
 
 
 def parse_question_spec(obj: dict) -> QuestionSpec:

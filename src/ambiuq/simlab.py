@@ -16,6 +16,7 @@ truth. All randomness flows from the config seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -147,6 +148,21 @@ def sample_model(
     return Categorical(p_star.classes, _sample_models(p_star.probs[None, :], noise, rng)[0])
 
 
+class QuestionIds(Sequence):
+    """The row ids q000000, q000001, ... of n rows, formatted when read, so a
+    writer that takes a block of rows at a time holds no n-long list."""
+
+    def __init__(self, n: int):
+        self._rows = range(n)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        rows = self._rows[i]
+        return [f"q{j:06d}" for j in rows] if isinstance(rows, range) else f"q{rows:06d}"
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     config: SimConfig
@@ -158,8 +174,8 @@ class ExperimentResult:
     counts: Optional[np.ndarray] = None
 
     @property
-    def question_ids(self) -> list:
-        return [f"q{i:06d}" for i in range(self.config.n)]
+    def question_ids(self) -> QuestionIds:
+        return QuestionIds(self.config.n)
 
     @property
     def records(self) -> list:

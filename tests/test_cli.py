@@ -190,6 +190,27 @@ class TestBuildGT:
         s1 = read_jsonl(out)[0]
         assert s1["counts"] == [2, 2, 1] and s1["p_star"]["probs"] == [0.4, 0.4, 0.2]
 
+    def test_repeated_doc_id_keeps_its_first_row(self, tmp_path, capsys):
+        # both docs would chunk to "d:0", and one filter row would reject the two
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [{"doc_id": "d", "sections": ["paris is where"]},
+                             {"doc_id": "d", "sections": ["paris again, where"]},
+                             {"doc_id": "e", "sections": ["london is where"]}])
+        specs = tmp_path / "specs.jsonl"
+        write_jsonl(specs, [{"question_id": "q", "question": "where?", "keywords": ["where"],
+                             "answers": ["paris", "london"]}])
+        decisions = tmp_path / "decisions.jsonl"
+        write_jsonl(decisions, [{"question": "where?", "answer": "paris", "chunk_id": "d:0",
+                                 "accept": False}])
+        out, log = build_gt(tmp_path, corpus, specs)
+        assert capsys.readouterr().err.splitlines() == [
+            f"ambiuq: {corpus}:2: skipped: duplicate doc_id 'd'"]
+        (record,) = read_jsonl(out)
+        assert record["raw_matches"] == record["counts"] == [1, 1]
+        build_gt(tmp_path, corpus, specs, "--filter-file", str(decisions))
+        (record,) = read_jsonl(log)
+        assert record["raw_matches"] == [1, 1] and record["counts"] == [0, 1]
+
     def test_rerun_is_byte_identical(self, tmp_path, fixture_corpus, fixture_specs):
         out1, log1 = build_gt(tmp_path, fixture_corpus, fixture_specs)
         first = out1.read_bytes(), log1.read_bytes()
@@ -411,7 +432,7 @@ class TestFilterCmdPipeline:
         assert proc.returncode == 0, proc.stderr
         docs = [doc for _, doc in formats.read_jsonl(fixture_corpus, formats.parse_corpus_doc)[0]]
         specs = [s for _, s in formats.read_jsonl(fixture_specs, formats.parse_question_spec,
-                                                   by_id=True)[0]]
+                                                   "question_id")[0]]
         expected = []
 
         def record(batches):

@@ -1,5 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambiuq.corpus import (
     CHUNK_CHAR_LIMIT,
@@ -96,6 +101,42 @@ class TestIndex:
         chunks = make_chunks(["alpha beta", "alpha", "beta", "alpha beta gamma"])
         index = build_index(chunks)
         assert index.matching(stem_terms("alpha beta")) == [0, 3]
+
+    def test_index_keeps_no_chunk(self):
+        texts = ["apples grow", "apples fall", "pears ripen", "", "apples and pears"]
+        refs, seen = [], []
+
+        def one_shot():
+            for chunk in chunk_corpus([("doc", texts)]):
+                refs.append(weakref.ref(chunk))
+                seen.append((chunk.chunk_id, chunk.text))
+                yield chunk
+
+        index = build_index(one_shot())
+        gc.collect()
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        assert [(c.chunk_id, c.text) for c in index.chunks] == seen
+        assert index.matching(stem_terms("apples")) == [0, 1, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(
+        ["apple", "apples", "pear", "grows", "growing", "fall", "the", "a1"]), max_size=6)
+        .map(" ".join), max_size=12),
+        queries=st.lists(st.lists(st.sampled_from(["appl", "pear", "grow", "fall", "the",
+                                                   "a1", "absent"]), max_size=3), max_size=6))
+    def test_postings_and_matching_equal_a_scan_of_the_chunk_list(self, texts, queries):
+        # the reference scans a kept chunk list for each term and query
+        chunks = make_chunks(texts)
+        index = build_index(iter(chunks))
+        terms = set().union(*(c.stemmed_terms for c in chunks), {"absent"})
+        for term in terms:
+            assert index.postings(term) == [
+                i for i, c in enumerate(chunks) if term in c.stemmed_terms]
+        for query in queries:
+            assert index.matching(query) == ([] if not query else [
+                i for i, c in enumerate(chunks) if set(query) <= c.stemmed_terms])
+        assert [(c.chunk_id, c.text) for c in index.chunks] == [
+            (c.chunk_id, c.text) for c in chunks]
 
 
 class TestCooccurrence:

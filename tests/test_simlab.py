@@ -22,6 +22,7 @@ from ambiuq.simlab import (
     ablation_truths,
     gamma_ablation,
     MAX_CELLS,
+    QuestionIds,
     run_experiment,
     sample_model,
     sample_truth,
@@ -225,6 +226,16 @@ class TestRunExperiment:
         for name, vals in res.scores.items():
             assert [r.scores[name] for r in records] == vals.tolist()
         assert all(r.scores.keys() == res.scores.keys() for r in records)
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_question_ids_are_the_list_sliced_per_block(self, n):
+        ids, expected = QuestionIds(n), [f"q{i:06d}" for i in range(n)]
+        assert len(ids) == n and list(ids) == expected
+        for i in range(0, n + 1, 1024):
+            assert ids[i:i + 1024] == expected[i:i + 1024]
+        assert ids[::-7] == expected[::-7] and (n == 0 or ids[-1] == expected[-1])
+        with pytest.raises(IndexError):
+            ids[n]
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(2, 12), n=st.integers(1, 40), k=st.integers(2, 7),
