@@ -158,15 +158,14 @@ class CommandFilter:
 
         batches = iter(batches)
         stdin, stdout = self.proc.stdin.fileno(), self.proc.stdout.fileno()
-        owed, replies, requests, pending = [], [], iter(()), b""  # owed: replies per batch
+        owed, replies, pending = [], [], b""  # owed: replies per batch
         deadline = time.monotonic() + FILTER_TIMEOUT_S
         while True:
-            pending = pending or next(requests, b"")
             if not pending and len(owed) < 2:  # every request taken is written
                 batch = next(batches, None)
                 if batch is not None:
                     owed.append(len(batch[0]))
-                    requests = _request_lines(*batch)
+                    pending = b"".join(_request_lines(*batch))
                     continue
                 if not owed:
                     return
@@ -187,7 +186,7 @@ class CommandFilter:
                 [stdout], [stdin] if pending else [], [], timeout)
             try:
                 while writable and pending:  # as much as the pipe accepts
-                    pending = pending[os.write(stdin, pending):] or next(requests, b"")
+                    pending = pending[os.write(stdin, pending):]
             except BlockingIOError:
                 pass
             except BrokenPipeError:  # the command has exited; stdout says how

@@ -74,7 +74,7 @@ def tokenize(text: str) -> list:
 
 
 def stem_terms(text: str) -> frozenset:
-    return frozenset(stem(tok) for tok in tokenize(text))
+    return frozenset(map(stem, tokenize(text)))
 
 
 def _split_oversized(text: str) -> list:

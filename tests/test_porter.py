@@ -1,8 +1,11 @@
+import random
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import porter_reference as reference
 
 from ambiuq.porter import (
     _apply,
@@ -182,3 +185,40 @@ def test_stem_matches_the_scanning_reference(word):
     assert stem(word) == reference_stem(word)
     for rules, m_above in ((_STEP2, 0), (_STEP3, 0), (_STEP4, 1)):
         assert _apply(word, rules, m_above) == reference_step(word, rules, m_above)
+
+
+# --- reference: the replaced implementation, an independent oracle -----------
+
+# pieces of drawn words: letters, every rule suffix, runs of y (a vowel or a
+# consonant by position), ll and e (steps 5a/5b), uppercase letters (casefold),
+# a line end (which `$` would match before) and non-ASCII letters
+PIECES = [*string.ascii_lowercase, *SUFFIXES, "y", "yy", "yyy", "ll", "e",
+          *string.ascii_uppercase, "\n", "é", "ß", "ﬁ"]
+EDGE_WORDS = st.lists(st.sampled_from(PIECES), max_size=8).map("".join)
+REFERENCE_STEPS = ((_STEP2, reference._STEP2, 0), (_STEP3, reference._STEP3, 0),
+                   (_STEP4, reference._STEP4, 1))
+
+
+@pytest.mark.parametrize("word,expected", [
+    ("national\n", "national\n"), ("Yyyyes", "yyyy"), ("naïvely", "naïv"), ("ﬁtness", "fit")])
+def test_edge_inputs(word, expected):
+    assert stem(word) == expected == reference.stem(word)
+
+
+@settings(max_examples=600, deadline=None)
+@given(word=EDGE_WORDS)
+def test_stem_and_each_step_match_the_reference(word):
+    assert stem(word) == reference.stem(word)
+    assert _measure(word) == reference._measure(word)
+    for step, expected_step in ((_step1a, reference._step1a), (_step1b, reference._step1b),
+                                (_step1c, reference._step1c), (_step5a, reference._step5a),
+                                (_step5b, reference._step5b)):
+        assert step(word) == expected_step(word)
+    for rules, reference_rules, m_above in REFERENCE_STEPS:
+        assert _apply(word, rules, m_above) == reference._apply(word, reference_rules, m_above)
+
+
+def test_stem_matches_the_reference_on_50000_seeded_words():
+    rng = random.Random(22)
+    words = ["".join(rng.choices(PIECES, k=rng.randint(1, 6))) for _ in range(50_000)]
+    assert [w for w in words if stem(w) != reference.stem.__wrapped__(w)][:10] == []
