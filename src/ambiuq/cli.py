@@ -352,13 +352,13 @@ def cmd_eval(args) -> int:
         if pred.ensemble is None:
             _warn(f"{qid}: MI disabled: no ensemble in prediction record")
     # each parsed pair is released once its rows are built
-    counts_list, model_list, scores["SE"], scores["MI"] = score_questions(
+    groups, scores["SE"], scores["MI"] = score_questions(
         ((gt_records.pop(qid), predictions.pop(qid)) for qid in matched), eq.canonical,
         args.epsilon)
 
     # [(gamma, truth), ..., ("point", truth)]: one gamma sets the records'
     # truth, none leaves the point estimate, a grid scores every row
-    truths = simlab.ablation_truths(counts_list, model_list, gammas)
+    truths = simlab.ablation_truths(groups, n, gammas)
     truth = truths[0 if len(gammas) == 1 else -1][1]
     carried = {name: [i for i, v in enumerate(values) if v is not None]
                for name, values in scores.items()}
@@ -462,7 +462,8 @@ def cmd_simulate(args) -> int:
             raise DegenerateInputError("--ablation-csv needs counts_total > 0")
     result = simlab.run_experiment(config)
     if args.ablation_csv:
-        truths = simlab.ablation_truths(result.counts, result.p_model, gammas)
+        counts = result.counts.astype(float)  # like eval's; past 2**53 int row sums differ
+        truths = simlab.ablation_truths([(slice(None), counts, result.p_model)], config.n, gammas)
         ablation = simlab.gamma_ablation(truths, result.scores)
 
     question_ids = result.question_ids

@@ -188,20 +188,16 @@ def cooccurrence_count(
     accept: Optional[EntailmentFilter] = None,
     question: str = "",
 ) -> int:
-    """Number of chunks containing all stemmed keyword and answer terms.
+    """Number of chunks containing all stemmed keyword and answer terms: the
+    count that :func:`build_ground_truth` gives a spec with this one answer.
 
     Matches are truncated at ``cap`` (>= 1) in corpus order before the optional
     entailment filter is applied to them as one batch; zero is a valid count.
     """
     if not answer or not keywords:
         raise ValidationError("keywords and answer must be non-empty")
-    if not cap >= 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
-    kept = index.matching(_required_terms(keywords, answer))[:cap]
-    if accept is None or not kept:
-        return len(kept)
-    (decisions,) = accept([([index.chunks[pos] for pos in kept], question, answer)])
-    return sum(decisions)
+    spec = QuestionSpec("", question, tuple(keywords), (answer,))
+    return build_ground_truth(index, [spec], cap, accept)[0].counts[0]
 
 
 def _spec_matches(index, specs, cap) -> Iterator[tuple]:
@@ -215,12 +211,21 @@ def _spec_matches(index, specs, cap) -> Iterator[tuple]:
         yield spec, required, [(m[:cap], len(m)) for m in map(index.matching, required)]
 
 
+def _accepted(decisions, kept) -> int:
+    """How many of one batch's kept chunks the filter's next decision list accepts."""
+    batch = next(decisions, None)
+    if batch is None or len(batch) != len(kept):
+        got = "no decision list" if batch is None else f"{len(batch)} decision(s)"
+        raise ValidationError(f"entailment filter returned {got} for {len(kept)} chunks")
+    return sum(batch)
+
+
 def _spec_record(spec: QuestionSpec, required, found, decisions) -> GroundTruthRecord:
     if required is None:
         return GroundTruthRecord(
             spec.question_id, spec.answers, (), None, True, "duplicate answers", ()
         )
-    counts = tuple(len(kept) if decisions is None or not kept else sum(next(decisions))
+    counts = tuple(len(kept) if decisions is None or not kept else _accepted(decisions, kept)
                    for kept, _ in found)
     raws = tuple(raw for _, raw in found)
     same = tuple(a for a, terms in zip(spec.answers, required) if required.count(terms) > 1)
@@ -259,6 +264,8 @@ def build_ground_truth(
             for spec, _, found in for_filter if found
             for answer, (kept, _) in zip(spec.answers, found) if kept))
     records = [_spec_record(*item, decisions) for item in matched]
+    if decisions is not None and next(decisions, None) is not None:
+        raise ValidationError("entailment filter returned more decision lists than batches")
     return sorted(records, key=lambda r: r.question_id)
 
 

@@ -195,29 +195,15 @@ def msp(best_answer_prob: Optional[float]) -> float:
 
 
 def ensemble_mean_mi(members) -> tuple:
-    """(p_bar, MI) of m member arrays, each (k,) or (n, k): the member mean,
-    and mean_i KL(p_i || p_bar) per row, in nats.
-
-    (k,) members are one ensemble of :func:`stacked_ensemble_mi`. (n, k)
-    members give the floats of stacked_ensemble_mi(np.stack(members, axis=1))
-    without an (n, m, k) array: they are added one by one into a float p_bar,
-    get one KL call each, and the (n, m) KL columns are averaged.
-    """
-    if members[0].ndim == 1:
-        return stacked_ensemble_mi(np.stack(members))
+    """(p_bar, MI) of m member arrays, each (k,) or (n, k): the member mean, and
+    mean_i KL(p_i || p_bar) per row, in nats. The members are added one by one into
+    a float p_bar and get one KL call each, so (n, k) members need no (n, m, k)
+    array and may be views of one."""
     p_bar = members[0].astype(float)
     for member in members[1:]:
         p_bar += member
     p_bar /= len(members)
     return p_bar, np.stack([row_kl(member, p_bar) for member in members], axis=-1).mean(axis=-1)
-
-
-def stacked_ensemble_mi(stacked: np.ndarray) -> tuple:
-    """(p_bar, MI) of ensembles stacked as (..., m, k), m members over k
-    classes each: row i holds the floats of ensemble_mean_mi(list(stacked[i]))."""
-    m = stacked.shape[-2]
-    p_bar = sum((stacked[..., j, :] for j in range(1, m)), stacked[..., 0, :]) / m
-    return p_bar, row_kl(stacked, p_bar[..., None, :]).mean(axis=-1)
 
 
 def mutual_information(e: EnsemblePrediction) -> float:
@@ -240,28 +226,30 @@ def _by_shape(groups: dict, n: int, score) -> list:
 
 
 def score_questions(questions, canonical, epsilon: float) -> tuple:
-    """``eval`` on arrays: (counts rows, model rows, SE, MI) of (ground truth,
-    prediction) pairs, MI None where there is no ensemble, each value the
-    object API's. One pass does each pair's string work (canonical merges,
-    joint supports) and files its rows by support shape, keeping no pair;
-    then each shape is scored by one call per quantity."""
-    counts_rows, clusters, models, ensembles = [], {}, {}, {}
+    """``eval`` on arrays: (support groups, SE, MI) of (ground truth, prediction)
+    pairs, MI None where there is no ensemble, each value the object API's. One pass
+    does each pair's string work (canonical merges, joint supports) and files its rows
+    by support shape, keeping no pair; then each shape is scored by one call per
+    quantity. A group is (row indices, counts (g, k), imputed model (g, k))."""
+    supports, clusters, ensembles = {}, {}, {}
     for i, (gt, pred) in enumerate(questions):
         model = cluster_probs(pred.samples, canonical)
         counts = canonical_merge(gt.answers, gt.counts, canonical)
         joint = tuple(dict.fromkeys([*counts, *model]))
-        counts_rows.append([counts.get(c, 0.0) for c in joint])
+        supports.setdefault(len(joint), []).append(
+            (i, [counts.get(c, 0.0) for c in joint], [model.get(c) for c in joint]))
         clusters.setdefault(len(model), []).append((i, list(model.values())))
-        models.setdefault(len(joint), []).append((i, [model.get(c) for c in joint]))
         if pred.ensemble is not None:
             merged = [canonical_merge(m.classes, m.probs.tolist(), canonical)
                       for m in pred.ensemble]
             joint = tuple(dict.fromkeys([c for m in merged for c in m]))
             ensembles.setdefault((len(merged), len(joint)), []).append(
                 (i, [[m.get(c) for c in joint] for m in merged]))
-    n = len(counts_rows)
+    n = sum(map(len, supports.values()))
     se = _by_shape(clusters, n, lambda probs: row_entropy(np.array(probs)).tolist())
-    mi = _by_shape(ensembles, n, lambda group: stacked_ensemble_mi(
+    mi = _by_shape(ensembles, n, lambda group: ensemble_mean_mi(list(
         impute_rows([row for rows in group for row in rows], epsilon)
-        .reshape(len(group), len(group[0]), -1))[1].tolist())
-    return counts_rows, _by_shape(models, n, lambda rows: impute_rows(rows, epsilon)), se, mi
+        .reshape(len(group), len(group[0]), -1).transpose(1, 0, 2)))[1].tolist())
+    groups = [(np.array(idx), np.array(counts, dtype=float), impute_rows(models, epsilon))
+              for idx, counts, models in (zip(*rows) for rows in supports.values())]
+    return groups, se, mi

@@ -288,36 +288,15 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     )
 
 
-def support_groups(counts, p_model) -> list:
-    """(row indices, stacked counts, stacked p_model), one per support size.
-
-    Ragged supports are grouped by size rather than zero padded: a padded
-    class would still get alpha = 1 and change E[KL].
-    """
-    counts = [np.asarray(c, dtype=float) for c in counts]
-    p_model = [np.asarray(p, dtype=float) for p in p_model]
-    if len(counts) != len(p_model):
-        raise ValidationError("counts and p_model must have equal length")
-    groups: dict = {}
-    for i, (c, p) in enumerate(zip(counts, p_model)):
-        if c.ndim != 1:
-            raise ValidationError("each counts entry must be a 1-D vector")
-        groups.setdefault((c.shape, p.shape), []).append(i)
-    return [
-        (idx, np.stack([counts[i] for i in idx]), np.stack([p_model[i] for i in idx]))
-        for idx in groups.values()
-    ]
-
-
-def ablation_truths(counts, p_model, gammas=DEFAULT_GAMMAS):
-    """[(label, truth)]: the Dirichlet expected EU per gamma, then "point",
-    KL(normalize(counts)||p). One batched call per (gamma, support size), see
-    :func:`support_groups`; a row's truth depends on that row alone."""
-    batches = support_groups(counts, p_model)
+def ablation_truths(groups, n: int, gammas=DEFAULT_GAMMAS):
+    """[(label, truth)] of n rows: the Dirichlet expected EU per gamma, then "point",
+    KL(normalize(counts)||p), one batched call per (gamma, group). Each group is (row
+    indices, counts (g, k), p_model (g, k)) of one support size k, not zero padded: a
+    padded class would still get alpha = 1 and change E[KL]."""
     out = []
     for label in [*gammas, "point"]:
-        truth = np.empty(len(counts))
-        for idx, c, p in batches:
+        truth = np.empty(n)
+        for idx, c, p in groups:
             if label == "point":
                 truth[idx] = row_kl(c / c.sum(axis=-1, keepdims=True), p)
             else:

@@ -383,7 +383,8 @@ def test_11_regime_contrast():
 def test_12_gamma_ablation(tmp_path):
     cfg = SimConfig(k=3, n=400, seed=2, regime=FREE_AU, noise=8.0, counts_total=200)
     result = run_experiment(cfg)
-    truths = ablation_truths(result.counts, result.p_model, (1.0, 2.0, 5.0, 10.0, 100.0, 1e6))
+    group = (slice(None), result.counts.astype(float), result.p_model)
+    truths = ablation_truths([group], cfg.n, (1.0, 2.0, 5.0, 10.0, 100.0, 1e6))
     rows = gamma_ablation(truths, result.scores)
     by_gamma = {r["gamma"]: r["concordance"] for r in rows if r["estimator"] == "SE"}
     converged = abs(by_gamma[1e6] - by_gamma["point"]) <= 0.005

@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -1212,7 +1214,7 @@ def test_eval_records_equal_the_object_api(questions, gammas, epsilon, equivalen
         if pred.ensemble is not None:
             scores["MI"] = mutual_information(align_ensemble(pred.ensemble, eq, epsilon=epsilon))
         assert record["scores"] == scores
-        truths = simlab.ablation_truths([counts], [model.probs], gammas)
+        truths = simlab.ablation_truths([([0], counts[None], model.probs[None])], 1, gammas)
         assert record["true_eu"] == truths[0 if len(gammas) == 1 else -1][1][0]
         if len(gammas) != 1:  # the point truth
             point = decompose(normalize(counts, star.classes), model).epistemic
@@ -1570,6 +1572,74 @@ class TestCrossCommand:
                 assert repr(entry["eu_lower_bound"]) == repr(bound)
 
 
+WORDS = ("fire", "heat", "fuel", "oxygen", "water", "steam")
+SECTION = st.lists(st.sampled_from(WORDS), min_size=3, max_size=8).map(
+    lambda words: " ".join(words).capitalize() + ".")
+
+
+@st.composite
+def corpus_question(draw, qid):
+    """(spec row, prediction row) of one build-gt question."""
+    answers = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3, unique=True))
+    spec = {"question_id": qid, "question": f"{qid}?", "answers": answers,
+            "keywords": draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=2))}
+    samples = [{"text": text, "seq_prob": draw(st.floats(0.01, 1.0))}
+               for text in draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4))]
+    pred = {"question_id": qid, "samples": samples}
+    if draw(st.booleans()):
+        pred["best_answer_prob"] = draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        members = draw(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3,
+                                         unique=True), min_size=1, max_size=4))
+        pred["ensemble"] = [{"classes": classes, "probs": _probs(draw, len(classes))}
+                            for classes in members]
+    return spec, pred
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=st.lists(st.lists(SECTION, min_size=1, max_size=4), min_size=1, max_size=8),
+       questions=st.integers(1, 6).flatmap(
+           lambda n: st.tuples(*(corpus_question(f"q{i}") for i in range(n)))),
+       cap=st.integers(1, 6))
+def test_build_gt_eval_metrics_agree(docs, questions, cap):
+    # on drawn corpora and specs: eval takes every row build-gt kept, metrics on
+    # eval's records writes eval's metrics CSV, and the ablation's point row is
+    # that CSV's concordance
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_jsonl(tmp / "corpus.jsonl", [{"doc_id": f"d{i}", "sections": sections}
+                                           for i, sections in enumerate(docs)])
+        write_jsonl(tmp / "specs.jsonl", [spec for spec, _ in questions])
+        write_jsonl(tmp / "preds.jsonl", [pred for _, pred in questions])
+        deltas = ["--deltas", "0.3,0.7"]
+        assert main(["build-gt", "--corpus", str(tmp / "corpus.jsonl"), "--specs",
+                     str(tmp / "specs.jsonl"), "--out", str(tmp / "gt.jsonl"),
+                     "--cap", str(cap)]) == 0
+        kept = read_jsonl(tmp / "gt.jsonl")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["eval", "--ground-truth", str(tmp / "gt.jsonl"), "--predictions",
+                         str(tmp / "preds.jsonl"), "--records-out", str(tmp / "records.jsonl"),
+                         "--metrics-out", str(tmp / "eval.csv"), "--ablation-out",
+                         str(tmp / "ablation.csv"), "--dirichlet-gamma", "1,5", *deltas])
+        assert "p_star differs" not in stderr.getvalue()
+        if not kept:
+            assert code == 2
+            return
+        if code == 3:  # no metric is defined on these records; nothing is written
+            assert not (tmp / "records.jsonl").exists()
+            return
+        assert code == 0
+        assert len(read_jsonl(tmp / "records.jsonl")) == len(kept)
+        assert main(["metrics", "--records", str(tmp / "records.jsonl"),
+                     "--metrics-out", str(tmp / "metrics.csv"), *deltas]) == 0
+        assert (tmp / "metrics.csv").read_bytes() == (tmp / "eval.csv").read_bytes()
+        point = {r["estimator"]: r["concordance"]
+                 for r in read_csv(tmp / "ablation.csv") if r["gamma"] == "point"}
+        assert point == {r["estimator"]: r["concordance"]
+                         for r in read_csv(tmp / "metrics.csv") if r["concordance"]}
+
+
 EXPECTED_WARNINGS = [
     "ambiuq: concordance[MI]: concordance undefined: no pairs with distinct true_eu",
     "ambiuq: aucroc[MI, delta=0.25]: aucroc undefined at delta=0.25: binarization left a "
@@ -1881,6 +1951,38 @@ def test_every_import_is_used(tracer_install):
     assert unused == TRACER_ONLY_IMPORTS
     # an allowlisted name must be one tracer.install replaces, so no entry outlives its use
     assert TRACER_ONLY_IMPORTS <= tracer_install[2]
+
+
+def test_every_module_level_name_is_used():
+    # a def, class or constant of src that nothing outside its own statement
+    # names (in src, tests or bench) is left over from a deletion
+    root = Path(ambiuq.__file__).resolve().parents[2]
+    statements = []  # (path, index, names it defines, names it refers to)
+    for path in sorted([*root.glob("src/ambiuq/*.py"), *root.glob("tests/*.py"),
+                        *root.glob("bench/*.py")]):
+        for i, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+            defined = set()
+            if path.parent.name == "ambiuq":
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    defined = {stmt.name}
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    defined = {n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name) and not n.id.startswith("__")}
+            used = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)  # bench/tracer.py patches names given as strings
+            statements.append((path, i, defined, used))
+    unused = {(path.stem, name) for path, i, defined, _ in statements for name in defined
+              if not any(name in used for p, j, _, used in statements if (p, j) != (path, i))}
+    assert unused == set()
 
 
 def test_no_module_uses_another_modules_private_names():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -289,6 +290,25 @@ class TestGroundTruth:
             accept=lambda bs: ([False] * len(cs) for cs, q, a in bs)
         )
         assert all(r.discarded for r in records)
+
+    @pytest.mark.parametrize("accept, message", [
+        # one decision for the 31 heat chunks
+        (lambda bs: ([True] for _ in bs), r"returned 1 decision\(s\) for 31 chunks"),
+        # a list for the first (spec, answer) only
+        (lambda bs: ([True] * len(cs) for cs, _, _ in itertools.islice(bs, 1)),
+         "returned no decision list for 32 chunks"),
+        (lambda bs: iter(()), "returned no decision list for 31 chunks"),
+        # a list after the last batch's
+        (lambda bs: itertools.chain(([True] * len(cs) for cs, _, _ in bs), [[True]]),
+         "more decision lists than batches"),
+    ])
+    def test_decision_lists_must_match_the_batches(self, accept, message):
+        index = fixture_index()
+        with pytest.raises(ValidationError, match=message):
+            build_ground_truth(index, [FIRE_SPEC], accept=accept)
+        if "32" not in message:  # the heat batch alone
+            with pytest.raises(ValidationError, match=message):
+                cooccurrence_count(index, ["fire triangle"], "heat", accept=accept)
 
 
 class TestCrossValidate:

@@ -271,17 +271,23 @@ class TestMutualInformation:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda m: st.integers(2, 10).flatmap(
-        lambda k: st.lists(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
-                           .filter(lambda w: sum(w) > 0), min_size=m, max_size=m))))
+        lambda k: st.lists(st.lists(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
+                                    .filter(lambda w: sum(w) > 0), min_size=m, max_size=m),
+                           min_size=1, max_size=4))))
     def test_equals_stacked_reference_bytes(self, weights):
         # m = 1..12 crosses the 8 terms from which numpy sums pairwise
-        stacked = np.array(weights) / np.array(weights).sum(axis=1, keepdims=True)
-        classes = [f"c{i}" for i in range(stacked.shape[1])]
-        e = EnsemblePrediction(tuple(cat(classes, row) for row in stacked))
-        p_bar = stacked.mean(axis=0)
-        want = row_kl(stacked, p_bar[None, :]).mean()
-        assert np.float64(mutual_information(e)).tobytes() == want.tobytes()
-        assert ensemble_mean_mi(list(stacked))[0].tobytes() == p_bar.tobytes()
+        stacked = np.array(weights) / np.array(weights).sum(axis=-1, keepdims=True)  # (n, m, k)
+        p_bar = stacked.mean(axis=1)
+        want = row_kl(stacked, p_bar[..., None, :]).mean(axis=-1)
+        # (n, k) members that are non-contiguous views of one (n, m, k) array
+        got_bar, got = ensemble_mean_mi(list(stacked.transpose(1, 0, 2)))
+        assert got_bar.tobytes() == p_bar.tobytes()
+        assert got.tobytes() == want.tobytes()
+        # (k,) members: the first ensemble alone, and through the object API
+        classes = [f"c{i}" for i in range(stacked.shape[2])]
+        e = EnsemblePrediction(tuple(cat(classes, row) for row in stacked[0]))
+        assert np.float64(mutual_information(e)).tobytes() == want[0].tobytes()
+        assert ensemble_mean_mi(list(stacked[0]))[0].tobytes() == p_bar[0].tobytes()
 
     @pytest.mark.parametrize("dtype", [int, np.float32, float])
     def test_row_members_give_a_float_mean_and_stay_unchanged(self, dtype):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambiuq.corpus import GroundTruthRecord
 from ambiuq.dirichlet import expected_epistemic, posterior
-from ambiuq.dist import row_entropy, row_kl
+from ambiuq.dist import normalize, row_entropy, row_kl
 from ambiuq.errors import ConfigurationError, ValidationError
-from ambiuq.estimators import stacked_ensemble_mi
+from ambiuq.estimators import (AnswerSample, AnswerSampleSet, EquivalenceMap, align, cluster,
+                               score_questions)
 from ambiuq.formats import parse_sim_config
 from ambiuq.metrics import EvalRecord, concordance, score_columns
 from ambiuq.simlab import (
@@ -26,7 +28,6 @@ from ambiuq.simlab import (
     run_experiment,
     sample_model,
     sample_truth,
-    support_groups,
 )
 
 LN2 = math.log(2.0)
@@ -248,8 +249,9 @@ class TestRunExperiment:
         # the same draws, stacked into one (n, m, k) array: the object API's floats
         rng = np.random.default_rng(seed)
         p_star = _sample_truths(cfg, rng, n)
-        members = [_sample_models(p_star, noise, rng) for _ in range(m)]
-        p_model, mi = stacked_ensemble_mi(np.stack(members, axis=1))
+        stacked = np.stack([_sample_models(p_star, noise, rng) for _ in range(m)], axis=1)
+        p_model = sum((stacked[:, j] for j in range(1, m)), stacked[:, 0]) / m
+        mi = row_kl(stacked, p_model[..., None, :]).mean(axis=-1)
         assert res.p_model.tobytes() == p_model.tobytes()
         assert res.scores["MI"].tobytes() == mi.tobytes()
 
@@ -286,8 +288,8 @@ class TestRunExperiment:
 
 def result_ablation(result, gammas):
     """The gamma ablation of a simulated population, as simulate --ablation-csv builds it."""
-    truths = ablation_truths(result.counts, result.p_model, gammas)
-    return gamma_ablation(truths, result.scores)
+    group = (slice(None), result.counts.astype(float), result.p_model)
+    return gamma_ablation(ablation_truths([group], result.config.n, gammas), result.scores)
 
 
 class TestGammaAblation:
@@ -311,16 +313,25 @@ class TestGammaAblation:
         gaps = [abs(v - point) for v in values]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
 
-    def test_support_groups_need_one_model_per_counts_row(self):
-        with pytest.raises(ValidationError, match="equal length"):
-            support_groups([[1, 2], [3, 4]], [[0.5, 0.5]])
-
     def test_ragged_supports_match_per_record_reference(self):
+        # eval's support groups (k = 2..8) give each row the truth of its own
+        # counts and imputed model, scored one record at a time
         rng = np.random.default_rng(11)
-        counts = [rng.integers(0, 30, size=k) for k in rng.integers(2, 9, size=300)]
-        for c in counts:
-            c[0] += 1
-        p_model = [rng.dirichlet(np.ones(len(c))) for c in counts]
+        questions, per_record = [], []
+        for i, k in enumerate(rng.integers(2, 9, size=300)):
+            classes = [f"a{j}" for j in range(k)]
+            answers = rng.integers(1, k + 1)  # the ground truth's; the prediction has the rest
+            counts = rng.integers(0, 30, size=answers)
+            counts[0] += 1
+            predicted = classes[rng.integers(0, answers):]
+            gt = GroundTruthRecord(f"q{i}", tuple(classes[:answers]), tuple(counts.tolist()),
+                                   None, False, None, ())
+            samples = tuple(AnswerSample(c, float(rng.uniform(0.05, 1.0))) for c in predicted)
+            pred = AnswerSampleSet(f"q{i}", samples)
+            questions.append((gt, pred))
+            star, model = align(normalize(counts, gt.answers), cluster(pred), epsilon=0.01)
+            assert star.classes == tuple(classes)
+            per_record.append((np.append(counts, [0] * (k - answers)).astype(float), model.probs))
         scores = {"A": rng.uniform(0, 2, size=300), "B": rng.integers(0, 4, size=300)}
         gammas = (1.0, 5.0, 100.0)
 
@@ -331,19 +342,14 @@ class TestGammaAblation:
             ]
             return {name: concordance(*col) for name, col in score_columns(records).items()}
 
-        rows = gamma_ablation(ablation_truths(counts, p_model, gammas), scores)
+        groups, _, _ = score_questions(questions, EquivalenceMap().canonical, 0.01)
+        assert sorted(len(c[0]) for _, c, _ in groups) == list(range(2, 9))
+        rows = gamma_ablation(ablation_truths(groups, 300, gammas), scores)
         got = {(r["gamma"], r["estimator"]): r["concordance"] for r in rows}
         for gamma in gammas:
-            truth = [expected_epistemic(posterior(c, gamma), p) for c, p in zip(counts, p_model)]
+            truth = [expected_epistemic(posterior(c, gamma), p) for c, p in per_record]
             for name, value in reference(truth).items():
                 assert got[gamma, name] == value
-        point = [float(row_kl(c / c.sum(), p)) for c, p in zip(counts, p_model)]
+        point = [float(row_kl(c / c.sum(), p)) for c, p in per_record]
         for name, value in reference(point).items():
             assert got["point", name] == value
-
-    def test_ragged_bad_entries_rejected(self):
-        with pytest.raises(ValidationError):
-            gamma_ablation(ablation_truths([[1, 2], [3, 4, 5]], [[0.5, 0.5], [0.2, 0.3]]),
-                           {"A": [0.1, 0.2]})
-        with pytest.raises(ValidationError):
-            gamma_ablation(ablation_truths([[1, 2], 3], [[0.5, 0.5], [1.0]]), {"A": [0.1, 0.2]})
