@@ -50,7 +50,7 @@ from .estimators import (
     score_questions,
     semantic_entropy,
 )
-from .metrics import EvalRecord, aucroc, concordance, summarize
+from .metrics import EvalRecord, aucroc, concordance, score_columns, summarize
 
 
 def _warn(msg: str) -> None:
@@ -340,43 +340,37 @@ def cmd_eval(args) -> int:
     if not matched:
         raise ValidationError("no question_id is present in both input files")
 
-    # MSP per question, through the msp that bench/tracer.py wraps; the rest on arrays
+    # each parsed pair is released once its rows are built; MSP needs only its prob
     n = len(matched)
-    scores = {name: [None] * n for name in ("MI", "MSP", "SE")}  # names sorted
-    for i, qid in enumerate(matched):
-        pred = predictions[qid]
-        try:
-            scores["MSP"][i] = msp(pred.best_answer_prob)
-        except EstimatorUnavailableError as exc:
-            _warn(f"{qid}: MSP disabled: {exc}")
-        if pred.ensemble is None:
-            _warn(f"{qid}: MI disabled: no ensemble in prediction record")
-    # each parsed pair is released once its rows are built
-    groups, scores["SE"], scores["MI"] = score_questions(
+    best_probs = [predictions[qid].best_answer_prob for qid in matched]
+    groups, scores = score_questions(
         ((gt_records.pop(qid), predictions.pop(qid)) for qid in matched), eq.canonical,
         args.epsilon)
+    # MSP per question, through the msp that bench/tracer.py wraps
+    for qid, row, prob in zip(matched, scores, best_probs):
+        try:
+            row["MSP"] = msp(prob)
+        except EstimatorUnavailableError as exc:
+            _warn(f"{qid}: MSP disabled: {exc}")
+        if "MI" not in row:
+            _warn(f"{qid}: MI disabled: no ensemble in prediction record")
 
     # [(gamma, truth), ..., ("point", truth)]: one gamma sets the records'
     # truth, none leaves the point estimate, a grid scores every row
     truths = simlab.ablation_truths(groups, n, gammas)
     truth = truths[0 if len(gammas) == 1 else -1][1]
-    carried = {name: [i for i, v in enumerate(values) if v is not None]
-               for name, values in scores.items()}
-    columns = {name: (truth[rows], np.array([scores[name][i] for i in rows]))
-               for name, rows in carried.items() if rows}
-    score_rows = [{name: values[i] for name, values in scores.items() if values[i] is not None}
-                  for i in range(n)]
-    if not (np.isfinite(truth).all() and all(np.isfinite(s).all() for _, s in columns.values())):
-        for qid, t, row in zip(matched, truth.tolist(), score_rows):
-            EvalRecord(qid, t, row)  # raises the first bad record's ValidationError
+    # raises the first bad record's ValidationError
+    records = [EvalRecord(qid, t, row) for qid, t, row in zip(matched, truth.tolist(), scores)]
+    columns = score_columns(records)
 
     ablation = []
     if len(gammas) > 1:
         # each estimator is scored on the records that carry it
         for name, (_, score) in columns.items():
+            carries = np.array([name in r.scores for r in records])
             try:
                 ablation += simlab.gamma_ablation(
-                    [(label, values[carried[name]]) for label, values in truths], {name: score})
+                    [(label, values[carries]) for label, values in truths], {name: score})
             except DegenerateInputError as exc:
                 _warn(f"gamma ablation[{name}]: {exc}")
         labels = [*gammas, "point"]
@@ -386,9 +380,7 @@ def cmd_eval(args) -> int:
 
     ablation_out = args.ablation_out or f"{args.metrics_out}.ablation.csv"
     with formats.staged_writes() as stage:
-        formats.write_jsonl(stage(args.records_out), (
-            {"question_id": qid, "true_eu": t, "scores": scores}  # eval_record_to_dict's layout
-            for qid, t, scores in zip(matched, truth.tolist(), score_rows)))
+        formats.write_jsonl(stage(args.records_out), map(formats.eval_record_to_dict, records))
         if len(gammas) > 1:
             _write_ablation(stage(ablation_out), ablation)
         formats.write_csv(stage(args.metrics_out), fieldnames, rows)

@@ -214,24 +214,14 @@ def mutual_information(e: EnsemblePrediction) -> float:
     return float(ensemble_mean_mi([m.probs for m in e.members])[1])
 
 
-def _by_shape(groups: dict, n: int, score) -> list:
-    """One value per question, None where it is in no group: ``score`` maps
-    the items of each {shape: [(question, item), ...]} group to their values."""
-    out = [None] * n
-    for group in groups.values():
-        questions, items = zip(*group)
-        for i, value in zip(questions, score(items)):
-            out[i] = value
-    return out
-
-
 def score_questions(questions, canonical, epsilon: float) -> tuple:
-    """``eval`` on arrays: (support groups, SE, MI) of (ground truth, prediction)
-    pairs, MI None where there is no ensemble, each value the object API's. One pass
-    does each pair's string work (canonical merges, joint supports) and files its rows
-    by support shape, keeping no pair; then each shape is scored by one call per
-    quantity. A group is (row indices, counts (g, k), imputed model (g, k))."""
-    supports, clusters, ensembles = {}, {}, {}
+    """``eval`` on arrays: (support groups, scores) of (ground truth, prediction)
+    pairs, scores one {"SE": ..., "MI": ...} dict per pair, MI only where there is an
+    ensemble, each value the object API's. One pass does each pair's string work
+    (canonical merges, joint supports) and files its rows by support shape, keeping no
+    pair; then each shape is scored by one call per quantity. A group is (row indices,
+    counts (g, k), imputed model (g, k))."""
+    supports, clusters, ensembles, scores = {}, {}, {}, []
     for i, (gt, pred) in enumerate(questions):
         model = cluster_probs(pred.samples, canonical)
         counts = canonical_merge(gt.answers, gt.counts, canonical)
@@ -245,11 +235,18 @@ def score_questions(questions, canonical, epsilon: float) -> tuple:
             joint = tuple(dict.fromkeys([c for m in merged for c in m]))
             ensembles.setdefault((len(merged), len(joint)), []).append(
                 (i, [[m.get(c) for c in joint] for m in merged]))
-    n = sum(map(len, supports.values()))
-    se = _by_shape(clusters, n, lambda probs: row_entropy(np.array(probs)).tolist())
-    mi = _by_shape(ensembles, n, lambda group: ensemble_mean_mi(list(
-        impute_rows([row for rows in group for row in rows], epsilon)
-        .reshape(len(group), len(group[0]), -1).transpose(1, 0, 2)))[1].tolist())
+        scores.append({})
+    for group in clusters.values():
+        rows, probs = zip(*group)
+        for i, se in zip(rows, row_entropy(np.array(probs)).tolist()):
+            scores[i]["SE"] = se
+    for group in ensembles.values():
+        rows, members = zip(*group)
+        stacked = impute_rows([row for m in members for row in m], epsilon)
+        mi = ensemble_mean_mi(list(
+            stacked.reshape(len(members), len(members[0]), -1).transpose(1, 0, 2)))[1]
+        for i, value in zip(rows, mi.tolist()):
+            scores[i]["MI"] = value
     groups = [(np.array(idx), np.array(counts, dtype=float), impute_rows(models, epsilon))
               for idx, counts, models in (zip(*rows) for rows in supports.values())]
-    return groups, se, mi
+    return groups, scores

@@ -288,7 +288,7 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     )
 
 
-def ablation_truths(groups, n: int, gammas=DEFAULT_GAMMAS):
+def ablation_truths(groups, n: int, gammas):
     """[(label, truth)] of n rows: the Dirichlet expected EU per gamma, then "point",
     KL(normalize(counts)||p), one batched call per (gamma, group). Each group is (row
     indices, counts (g, k), p_model (g, k)) of one support size k, not zero padded: a

@@ -22,8 +22,10 @@ import ambiuq
 from ambiuq import bounds, cli, formats, simlab
 from ambiuq.cli import main
 from ambiuq.dist import Categorical, canonical_merge, decompose, normalize
+from ambiuq.errors import DegenerateInputError
 from ambiuq.estimators import (EquivalenceMap, align, align_ensemble, cluster, msp,
                                mutual_information, semantic_entropy)
+from ambiuq.metrics import concordance
 
 LN2 = math.log(2.0)
 
@@ -1176,8 +1178,9 @@ def eval_question(draw, qid):
        epsilon=st.sampled_from([0.01, 0.1, 1e-3]),
        equivalence=st.sampled_from([None, {"Rome": "paris"}]))
 def test_eval_records_equal_the_object_api(questions, gammas, epsilon, equivalence):
-    # every record's SE, MSP, MI and true EU are the object API's values, and
-    # metrics on the records reproduces eval's metrics CSV byte for byte
+    # every record's SE, MSP, MI and true EU are the object API's values,
+    # metrics on the records reproduces eval's metrics CSV byte for byte, and
+    # each ablation row is its estimator's concordance over the records that carry it
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         write_jsonl(tmp / "gt.jsonl", [gt for gt, _ in questions])
@@ -1190,7 +1193,9 @@ def test_eval_records_equal_the_object_api(questions, gammas, epsilon, equivalen
         if equivalence:
             (tmp / "eq.json").write_text(json.dumps(equivalence))
             args += ["--equivalence", tmp / "eq.json"]
-        code = main([str(a) for a in args])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([str(a) for a in args])
         if code == 3:  # no metric is defined on these records; nothing is written
             assert not (tmp / "records.jsonl").exists()
             return
@@ -1199,8 +1204,12 @@ def test_eval_records_equal_the_object_api(questions, gammas, epsilon, equivalen
                      "--metrics-out", str(tmp / "metrics.csv")]) == 0
         assert (tmp / "metrics.csv").read_bytes() == (tmp / "eval.csv").read_bytes()
         records = read_jsonl(tmp / "records.jsonl")
+        if len(gammas) > 1:
+            with open(tmp / "eval.csv.ablation.csv", newline="") as fh:
+                ablation = list(csv.reader(fh))[1:]
 
     eq = EquivalenceMap(equivalence)
+    record_truths = []  # per record, [(label, truth)] of ablation_truths
     assert [r["question_id"] for r in records] == [gt["question_id"] for gt, _ in questions]
     for record, (gt_row, pred_row) in zip(records, questions):  # q0, q1, ... sort as drawn
         gt, pred = formats.parse_ground_truth(gt_row), formats.parse_prediction(pred_row)
@@ -1219,6 +1228,24 @@ def test_eval_records_equal_the_object_api(questions, gammas, epsilon, equivalen
         if len(gammas) != 1:  # the point truth
             point = decompose(normalize(counts, star.classes), model).epistemic
             assert abs(record["true_eu"] - point) <= 1e-15
+        record_truths.append(truths)
+
+    if len(gammas) > 1:
+        expected, degenerate = [], set()
+        for name in sorted({name for r in records for name in r["scores"]}):
+            carriers = [i for i, r in enumerate(records) if name in r["scores"]]
+            score = [records[i]["scores"][name] for i in carriers]
+            truths = [[record_truths[i][j][1][0] for i in carriers]
+                      for j in range(len(gammas) + 1)]
+            try:
+                expected += [[str(label), name, f"{concordance(truth, score):.6f}"]
+                             for label, truth in zip([*gammas, "point"], truths)]
+            except DegenerateInputError:
+                degenerate.add(name)
+        labels = [str(label) for label in [*gammas, "point"]]
+        assert ablation == sorted(expected, key=lambda row: (labels.index(row[0]), row[1]))
+        assert {name for name in ("MI", "MSP", "SE")
+                if f"gamma ablation[{name}]" in err.getvalue()} == degenerate
 
 
 class TestBounds:
@@ -1983,6 +2010,54 @@ def test_every_module_level_name_is_used():
     unused = {(path.stem, name) for path, i, defined, _ in statements for name in defined
               if not any(name in used for p, j, _, used in statements if (p, j) != (path, i))}
     assert unused == set()
+
+
+def test_every_module_level_name_is_reached_from_the_program():
+    # a def, class or constant of src that neither cli.main nor a name the
+    # package exports reaches, through the names each reached statement refers
+    # to, is kept only for tests
+    src = Path(ambiuq.__file__).resolve().parent
+    defined = {}  # (module, name) -> the statement that defines it
+    imported = {}  # (module, local name) -> (module, name) it is bound to
+    modules = {}  # (module, local name) -> module: `from . import formats`
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level:
+                for alias in stmt.names:
+                    local = (module, alias.asname or alias.name)
+                    if stmt.module is None:
+                        modules[local] = alias.name
+                    else:
+                        imported[local] = (stmt.module, alias.name)
+            elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[module, stmt.name] = stmt
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for node in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                        defined[module, node.id] = stmt
+
+    def resolve(key):
+        while key in imported:  # a re-export names the module that defines it
+            key = imported[key]
+        return key
+
+    todo = [("cli", "main"), *(resolve(key) for key in imported if key[0] == "__init__")]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached or key not in defined:
+            continue
+        reached.add(key)
+        module = key[0]
+        for node in ast.walk(defined[key]):
+            if isinstance(node, ast.Name):
+                todo.append(resolve((module, node.id)))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and (module, node.value.id) in modules):
+                todo.append(resolve((modules[module, node.value.id], node.attr)))
+    assert set(defined) - reached == set()
 
 
 def test_no_module_uses_another_modules_private_names():

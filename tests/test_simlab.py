@@ -342,7 +342,7 @@ class TestGammaAblation:
             ]
             return {name: concordance(*col) for name, col in score_columns(records).items()}
 
-        groups, _, _ = score_questions(questions, EquivalenceMap().canonical, 0.01)
+        groups, _ = score_questions(questions, EquivalenceMap().canonical, 0.01)
         assert sorted(len(c[0]) for _, c, _ in groups) == list(range(2, 9))
         rows = gamma_ablation(ablation_truths(groups, 300, gammas), scores)
         got = {(r["gamma"], r["estimator"]): r["concordance"] for r in rows}
