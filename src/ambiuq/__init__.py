@@ -39,8 +39,6 @@ from .dirichlet import (
     expected_aleatoric,
     expected_cross_entropy,
     expected_epistemic,
-    mc_expected_aleatoric,
-    mc_expected_epistemic,
     posterior,
 )
 from .dist import (
@@ -72,7 +70,6 @@ from .estimators import (
     cluster,
     msp,
     mutual_information,
-    semantic_entropy,
 )
 from .metrics import EvalRecord, Summary, aucroc, concordance, score_columns, summarize
 from .porter import stem

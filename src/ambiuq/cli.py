@@ -27,9 +27,9 @@ from . import corpus as corpus_mod
 from . import formats
 from . import porter
 from . import simlab
-# bench/tracer.py wraps decompose, expected_epistemic and posterior here; nothing calls them
+# bench/tracer.py wraps decompose, expected_epistemic, posterior, semantic_entropy; none is called
 from .dirichlet import expected_epistemic, posterior
-from .dist import decompose, row_entropy
+from .dist import decompose, entropy as semantic_entropy, row_entropy
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -37,8 +37,8 @@ from .errors import (
     UQError,
     ValidationError,
 )
-# bench/tracer.py wraps align, align_ensemble, cluster, mutual_information and
-# semantic_entropy here; eval scores on arrays and calls none of them
+# bench/tracer.py wraps align, align_ensemble, cluster and mutual_information
+# here; eval scores on arrays and calls none of them
 from .estimators import (
     DEFAULT_EPSILON,
     EquivalenceMap,
@@ -48,7 +48,6 @@ from .estimators import (
     msp,
     mutual_information,
     score_questions,
-    semantic_entropy,
 )
 from .metrics import EvalRecord, aucroc, concordance, score_columns, summarize
 

@@ -172,14 +172,6 @@ def build_index(chunks: Iterable) -> InvertedIndex:
     return InvertedIndex(chunks)
 
 
-def _required_terms(keywords, answer: str) -> set:
-    terms = set()
-    for keyword in keywords:
-        terms |= stem_terms(str(keyword))
-    terms |= stem_terms(answer)
-    return terms
-
-
 def cooccurrence_count(
     index: InvertedIndex,
     keywords,
@@ -207,7 +199,8 @@ def _spec_matches(index, specs, cap) -> Iterator[tuple]:
         if len(set(spec.answers)) != len(spec.answers):
             yield spec, None, None
             continue
-        required = [_required_terms(spec.keywords, answer) for answer in spec.answers]
+        required = [stem_terms(" ".join([*map(str, spec.keywords), answer]))
+                    for answer in spec.answers]
         yield spec, required, [(m[:cap], len(m)) for m in map(index.matching, required)]
 
 

@@ -6,8 +6,7 @@ factor gamma >= 1 controls how literally the counts are taken. Expected
 aleatoric uncertainty E[H(p*)] and expected epistemic uncertainty
 E[KL(p*||p)] under this posterior have closed forms in the digamma function.
 They take a count k-vector, giving a float, or an (n, k) batch with an (n, k)
-prediction matrix, giving n values row-wise. Monte Carlo estimators of both,
-for one posterior, are provided as independent cross-checks.
+prediction matrix, giving n values row-wise.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Categorical, row_entropy, row_kl
+from .dist import Categorical
 from .errors import DomainError, SupportError, ValidationError
 
 # Asymptotic expansion of psi(x): ln x - 1/(2x) - sum(c_j / x^(2j)).
@@ -32,10 +31,6 @@ _PSI_COEFFS = (
     -3617.0 / 8160.0,
 )
 _PSI_SHIFT = 10.0
-
-# Monte Carlo draws are generated in fixed-size blocks, each from its own
-# child seed of the caller's seed.
-_MC_BLOCK = 1 << 14
 
 
 def digamma(x):
@@ -138,31 +133,3 @@ def expected_epistemic(d: DirichletPosterior, p) -> float | np.ndarray:
 def expected_cross_entropy(d: DirichletPosterior, p) -> float | np.ndarray:
     """E[CE(p*, p)] = -sum (a_i/a_0) ln p_i under the posterior."""
     return -_weighted_sum(d, np.log(_probs_array(p, d.alpha)))
-
-
-def _mc_draws(d: DirichletPosterior, draws: int, seed) -> np.ndarray:
-    blocks = []
-    n_blocks = (draws + _MC_BLOCK - 1) // _MC_BLOCK
-    remaining = draws
-    for child in np.random.SeedSequence(seed).spawn(n_blocks):
-        size = min(_MC_BLOCK, remaining)
-        blocks.append(np.random.default_rng(child).dirichlet(d.alpha, size=size))
-        remaining -= size
-    return np.concatenate(blocks, axis=0)
-
-
-def mc_expected_aleatoric(
-    d: DirichletPosterior, draws: int = 100_000, seed=0
-) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of H(p*) over posterior draws."""
-    hs = row_entropy(_mc_draws(d, draws, seed))
-    return float(hs.mean()), float(hs.std(ddof=1) / np.sqrt(draws))
-
-
-def mc_expected_epistemic(
-    d: DirichletPosterior, p, draws: int = 100_000, seed=0
-) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of KL(p*||p) over posterior draws."""
-    probs = _probs_array(p, d.alpha)
-    kls = row_kl(_mc_draws(d, draws, seed), probs)
-    return float(kls.mean()), float(kls.std(ddof=1) / np.sqrt(draws))

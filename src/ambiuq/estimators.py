@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import Categorical, canonical_merge, entropy, row_entropy, row_kl
+from .dist import Categorical, canonical_merge, row_entropy, row_kl
 from .errors import EstimatorUnavailableError, ValidationError
 
 DEFAULT_EPSILON = 0.01
@@ -170,11 +170,6 @@ def align_ensemble(
     joint = tuple(dict.fromkeys([c for m in merged for c in m]))
     rows = impute_rows([[m.get(c) for c in joint] for m in merged], epsilon)
     return EnsemblePrediction(tuple(Categorical(joint, row) for row in rows))
-
-
-def semantic_entropy(p: Categorical) -> float:
-    """Entropy of the clustered semantic distribution, in nats."""
-    return entropy(p)
 
 
 def msp(best_answer_prob: Optional[float]) -> float:

@@ -17,6 +17,8 @@ import time
 import numpy as np
 import pytest
 
+from dirichlet_reference import mc_expected_aleatoric, mc_expected_epistemic
+
 from ambiuq.bounds import mi_counterexample, nonidentifiability_witnesses
 from ambiuq.corpus import (
     QuestionSpec,
@@ -29,8 +31,6 @@ from ambiuq.corpus import (
 from ambiuq.dirichlet import (
     expected_aleatoric,
     expected_epistemic,
-    mc_expected_aleatoric,
-    mc_expected_epistemic,
     posterior,
 )
 from ambiuq.dist import (

@@ -185,6 +185,11 @@ class TestCooccurrence:
         index = build_index(chunks)
         assert cooccurrence_count(index, ["song", "writer"], "studio") == 1
 
+    def test_non_str_keyword_is_coerced(self):
+        # a library caller's keyword is matched as its str(): 2024 as "2024"
+        index = build_index(make_chunks(["released in 2024 by x", "x only"]))
+        assert cooccurrence_count(index, [2024], "x") == 1
+
     def test_filter_reduces_counts(self):
         texts = ["comet dust tail"] * 4
         index = build_index(make_chunks(texts))

@@ -18,7 +18,6 @@ from ambiuq.estimators import (
     ensemble_mean_mi,
     msp,
     mutual_information,
-    semantic_entropy,
 )
 
 LN2 = math.log(2.0)
@@ -135,8 +134,8 @@ class TestCluster:
         pairs = [("a", 0.4), ("b", 0.3), ("a", 0.1), ("c", 0.05)]
         plain = cluster(sample_set(pairs))
         relabeled = cluster(sample_set(pairs), EquivalenceMap({"a": "x", "b": "y", "c": "z"}))
-        assert semantic_entropy(relabeled) == pytest.approx(
-            semantic_entropy(plain), abs=1e-12
+        assert entropy(relabeled) == pytest.approx(
+            entropy(plain), abs=1e-12
         )
 
 
@@ -198,15 +197,15 @@ class TestAlign:
 class TestSemanticEntropy:
     def test_uniform_four(self):
         s = sample_set([("a", 0.1), ("b", 0.1), ("c", 0.1), ("d", 0.1)])
-        assert semantic_entropy(cluster(s)) == pytest.approx(math.log(4), abs=1e-12)
+        assert entropy(cluster(s)) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_single_class_zero(self):
         s = sample_set([("a", 0.9), ("a", 0.3)])
-        assert semantic_entropy(cluster(s)) == 0.0
+        assert entropy(cluster(s)) == 0.0
 
     def test_direct_value(self):
         p = cat(("a", "b", "c"), [0.5, 0.25, 0.25])
-        assert semantic_entropy(p) == pytest.approx(1.0397208, abs=1e-4)
+        assert entropy(p) == pytest.approx(1.0397208, abs=1e-4)
 
 
 class TestMSP:
