@@ -34,7 +34,6 @@ from .corpus import (
     cross_validate,
 )
 from .dirichlet import (
-    DirichletPosterior,
     digamma,
     expected_aleatoric,
     expected_cross_entropy,
@@ -78,8 +77,6 @@ from .simlab import (
     SimConfig,
     gamma_ablation,
     run_experiment,
-    sample_model,
-    sample_truth,
 )
 
 __version__ = "0.1.0"

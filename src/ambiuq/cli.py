@@ -168,14 +168,14 @@ class CommandFilter:
                     continue
                 if not owed:
                     return
-            if owed:
-                if self._take_replies(replies, owed[0]):
-                    deadline = time.monotonic() + FILTER_TIMEOUT_S
-                if len(replies) == owed[0] and (len(owed) == 2 or not pending):  # and written
-                    owed.pop(0)
-                    yield replies
-                    replies, deadline = [], time.monotonic() + FILTER_TIMEOUT_S
-                    continue
+            # owed is non-empty: pending bytes are an owed batch's, and with none owed we returned
+            if self._take_replies(replies, owed[0]):
+                deadline = time.monotonic() + FILTER_TIMEOUT_S
+            if len(replies) == owed[0] and (len(owed) == 2 or not pending):  # and written
+                owed.pop(0)
+                yield replies
+                replies, deadline = [], time.monotonic() + FILTER_TIMEOUT_S
+                continue
             timeout = deadline - time.monotonic()
             if timeout <= 0:
                 self.proc.kill()  # close() reaps it
@@ -235,14 +235,16 @@ class FileFilter:
 
 
 def cmd_build_gt(args) -> int:
+    if args.cap < 1:
+        raise ValidationError(f"--cap must be >= 1, got {args.cap}")
+    if args.filter_cmd is not None and args.filter_file is not None:
+        raise ValidationError("--filter-cmd and --filter-file are mutually exclusive")
     docs = _read(args.corpus, formats.parse_corpus_doc, "doc_id")
     specs = _read(args.specs, formats.parse_question_spec, "question_id")
     if not specs:
         _warn("specs file contains no usable question specs; writing empty dataset")
 
     accept = None
-    if args.filter_cmd is not None and args.filter_file is not None:
-        raise ValidationError("--filter-cmd and --filter-file are mutually exclusive")
     if args.filter_file is not None:
         accept = FileFilter(args.filter_file)
     command_filter = None

@@ -36,7 +36,6 @@ EntailmentFilter = Callable[[Iterable[tuple]], Iterator[list]]
 
 @dataclass(frozen=True)
 class Chunk:
-    doc_id: str
     chunk_id: str
     text: str
     stemmed_terms: frozenset
@@ -123,7 +122,6 @@ def chunk_corpus(documents: Iterable) -> Iterator[Chunk]:
                     else f"{doc_id}:{unit_idx}.{piece_idx}"
                 )
                 yield Chunk(
-                    doc_id=str(doc_id),
                     chunk_id=chunk_id,
                     text=piece,
                     stemmed_terms=stem_terms(piece),

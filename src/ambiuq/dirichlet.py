@@ -5,13 +5,11 @@ counts n_i update the posterior to alpha_i = 1 + gamma*n_i, where the scaling
 factor gamma >= 1 controls how literally the counts are taken. Expected
 aleatoric uncertainty E[H(p*)] and expected epistemic uncertainty
 E[KL(p*||p)] under this posterior have closed forms in the digamma function.
-They take a count k-vector, giving a float, or an (n, k) batch with an (n, k)
-prediction matrix, giving n values row-wise.
+They take the alpha that ``posterior`` returns: a k-vector, giving a float, or
+an (n, k) batch with an (n, k) prediction matrix, giving n values row-wise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,19 +59,10 @@ def digamma(x):
     return result.reshape(arr.shape)
 
 
-@dataclass(frozen=True)
-class DirichletPosterior:
-    """Concentration vector alpha_i = 1 + gamma*n_i and its sum alpha_0; for
-    an (n, k) batch, alpha is (n, k) and alpha_0 holds the n row sums."""
-
-    alpha: np.ndarray
-    gamma: float
-    alpha_0: float | np.ndarray
-
-
-def posterior(counts, gamma: float = 1.0) -> DirichletPosterior:
-    """Posterior from a uniform prior after observing the given counts: a
-    k-vector, or an (n, k) matrix with one count vector per row.
+def posterior(counts, gamma: float = 1.0) -> np.ndarray:
+    """Read-only concentrations alpha_i = 1 + gamma*n_i of the posterior from a
+    uniform prior after observing the given counts: a k-vector, or an (n, k)
+    matrix with one count vector per row, giving alpha of the same shape.
 
     Counts may be fractional (e.g. soft evidence); gamma must be in [1, inf).
     """
@@ -86,24 +75,23 @@ def posterior(counts, gamma: float = 1.0) -> DirichletPosterior:
         raise ValidationError("counts must be finite and non-negative")
     alpha = 1.0 + gamma * arr
     alpha.setflags(write=False)
-    alpha_0 = float(alpha.sum()) if arr.ndim == 1 else alpha.sum(axis=-1)
-    return DirichletPosterior(alpha=alpha, gamma=float(gamma), alpha_0=alpha_0)
+    return alpha
 
 
-def _weighted_sum(d: DirichletPosterior, terms) -> float | np.ndarray:
+def _weighted_sum(alpha: np.ndarray, terms) -> float | np.ndarray:
     """sum (a_i/a_0) * terms_i over the last axis: a float for one
     posterior, an array of n values for a batch."""
-    out = ((d.alpha / np.asarray(d.alpha_0)[..., None]) * terms).sum(axis=-1)
+    out = ((alpha / alpha.sum(axis=-1, keepdims=True)) * terms).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
-def _psi_gap(d: DirichletPosterior) -> np.ndarray:
-    return digamma(d.alpha + 1.0) - digamma(np.asarray(d.alpha_0)[..., None] + 1.0)
+def _psi_gap(alpha: np.ndarray) -> np.ndarray:
+    return digamma(alpha + 1.0) - digamma(alpha.sum(axis=-1, keepdims=True) + 1.0)
 
 
-def expected_aleatoric(d: DirichletPosterior) -> float | np.ndarray:
+def expected_aleatoric(alpha: np.ndarray) -> float | np.ndarray:
     """E[H(p*)] under the posterior: -sum (a_i/a_0)(psi(a_i+1) - psi(a_0+1))."""
-    return -_weighted_sum(d, _psi_gap(d))
+    return -_weighted_sum(alpha, _psi_gap(alpha))
 
 
 def _probs_array(p, alpha: np.ndarray) -> np.ndarray:
@@ -120,16 +108,16 @@ def _probs_array(p, alpha: np.ndarray) -> np.ndarray:
     return probs
 
 
-def expected_epistemic(d: DirichletPosterior, p) -> float | np.ndarray:
+def expected_epistemic(alpha: np.ndarray, p) -> float | np.ndarray:
     """E[KL(p*||p)] under the posterior for a strictly positive prediction p
     of the posterior's shape.
 
     Equals sum (a_i/a_0)[psi(a_i+1) - psi(a_0+1) - ln p_i], which is the
     expected cross-entropy minus the expected aleatoric part.
     """
-    return _weighted_sum(d, _psi_gap(d) - np.log(_probs_array(p, d.alpha)))
+    return _weighted_sum(alpha, _psi_gap(alpha) - np.log(_probs_array(p, alpha)))
 
 
-def expected_cross_entropy(d: DirichletPosterior, p) -> float | np.ndarray:
+def expected_cross_entropy(alpha: np.ndarray, p) -> float | np.ndarray:
     """E[CE(p*, p)] = -sum (a_i/a_0) ln p_i under the posterior."""
-    return -_weighted_sum(d, np.log(_probs_array(p, d.alpha)))
+    return -_weighted_sum(alpha, np.log(_probs_array(p, alpha)))

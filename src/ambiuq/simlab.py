@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import (BoundQuery, alpha_delta, eu_lower_bound_high_entropy, gamma_delta,
                      thm2_probability_bound)
 from .dirichlet import expected_epistemic, posterior
-from .dist import Categorical, row_cross_entropy, row_entropy, row_kl
+from .dist import row_cross_entropy, row_entropy, row_kl
 from .errors import ConfigurationError, DegenerateInputError, DomainError, ValidationError
 from .estimators import ensemble_mean_mi
 from .metrics import EvalRecord, concordance
@@ -92,10 +92,6 @@ class SimConfig:
                 raise ValidationError(str(exc)) from exc
 
 
-def _classes(k: int) -> tuple:
-    return tuple(f"c{i}" for i in range(k))
-
-
 def _sample_truths(config: SimConfig, rng: np.random.Generator, n: int) -> np.ndarray:
     k = config.k
     if config.regime == ZERO_AU:
@@ -130,22 +126,6 @@ def _sample_models(p_star: np.ndarray, noise: float, rng: np.random.Generator) -
     gammas = rng.gamma(conc)
     gammas /= gammas.sum(axis=-1, keepdims=True)
     return gammas
-
-
-def sample_truth(config: SimConfig, rng: Optional[np.random.Generator] = None) -> Categorical:
-    """One ground-truth draw under the config's regime."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    return Categorical(_classes(config.k), _sample_truths(config, rng, 1)[0])
-
-
-def sample_model(
-    p_star: Categorical, noise: float, rng: Optional[np.random.Generator] = None
-) -> Categorical:
-    """One prediction draw centered on p_star with the given concentration."""
-    if not 0 < noise < math.inf:
-        raise ValidationError(f"noise must be finite and > 0, got {noise}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return Categorical(p_star.classes, _sample_models(p_star.probs[None, :], noise, rng)[0])
 
 
 class QuestionIds(Sequence):

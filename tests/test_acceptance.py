@@ -17,7 +17,9 @@ import time
 import numpy as np
 import pytest
 
+from corpus_reference import brute_force_count
 from dirichlet_reference import mc_expected_aleatoric, mc_expected_epistemic
+from metrics_reference import brute_aucroc, brute_concordance
 
 from ambiuq.bounds import mi_counterexample, nonidentifiability_witnesses
 from ambiuq.corpus import (
@@ -26,7 +28,6 @@ from ambiuq.corpus import (
     build_index,
     chunk_corpus,
     cooccurrence_count,
-    stem_terms,
 )
 from ambiuq.dirichlet import (
     expected_aleatoric,
@@ -258,33 +259,6 @@ def test_08_dirichlet_closed_forms():
     )
 
 
-def brute_concordance(eus, scores):
-    credit, comparable = 0.0, 0
-    n = len(eus)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if eus[i] == eus[j]:
-                continue
-            comparable += 1
-            direction = (eus[i] - eus[j]) * (scores[i] - scores[j])
-            if direction > 0:
-                credit += 1.0
-            elif scores[i] == scores[j]:
-                credit += 0.5
-    return credit / comparable if comparable else None
-
-
-def brute_aucroc(eus, scores, delta):
-    pos = [s for t, s in zip(eus, scores) if t >= delta]
-    neg = [s for t, s in zip(eus, scores) if t < delta]
-    if not pos or not neg:
-        return None
-    credit = sum(
-        1.0 if sp > sn else (0.5 if sp == sn else 0.0) for sp in pos for sn in neg
-    )
-    return credit / (len(pos) * len(neg))
-
-
 def test_09_metrics_oracle_equivalence():
     rng = np.random.default_rng(9)
     instances = 0
@@ -334,18 +308,12 @@ def test_10_corpus_counts():
     assert len(chunks) <= 10_000
     index = build_index(chunks)
 
-    def brute(keywords, answer):
-        required = set()
-        for kw in keywords:
-            required |= stem_terms(kw)
-        required |= stem_terms(answer)
-        return sum(1 for c in chunks if required <= c.stemmed_terms)
-
     queries = [(["quartz"], "lattice"), (["quartz"], "geode"), (["quartz"], "absent"),
                (["crystal"], "quartz"), (["ruby laser"], "cavity")]
     for kw, ans in queries:
-        assert cooccurrence_count(index, kw, ans, cap=10_000) == brute(kw, ans)
-    assert brute(["ruby"], "cavity") == 1_500
+        assert (cooccurrence_count(index, kw, ans, cap=10_000)
+                == brute_force_count(chunks, kw, ans))
+    assert brute_force_count(chunks, ["ruby"], "cavity") == 1_500
     assert cooccurrence_count(index, ["ruby"], "cavity", cap=1_000) == 1_000
 
     specs = [

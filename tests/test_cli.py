@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metrics_reference import brute_concordance
+
 import ambiuq
 from ambiuq import bounds, cli, formats, simlab
 from ambiuq.cli import main
@@ -272,7 +274,7 @@ class TestBuildGT:
         dead.write_text("import sys\nsys.exit(3)\n")
         accept = CommandFilter(f"{sys.executable} {dead}")
         accept.proc.wait(timeout=60)
-        chunk = Chunk("d", "d:0", "heat", frozenset({"heat"}))
+        chunk = Chunk("d:0", "heat", frozenset({"heat"}))
         with pytest.raises(OSError, match="exited with code 3"):
             next(accept([([chunk], "q?", "heat")]))
         accept.close()
@@ -351,6 +353,12 @@ class TestBuildGT:
         assert code == 2
         assert "--filter-cmd and --filter-file are mutually exclusive" in capsys.readouterr().err
         assert not out.exists()
+        # checked before any input is read
+        code = main(["build-gt", "--corpus", str(tmp_path / "missing.jsonl"), "--specs",
+                     str(fixture_specs), "--out", str(out), "--filter-cmd",
+                     f"{sys.executable} {filter_script}", "--filter-file", str(decisions)])
+        assert code == 2
+        assert "--filter-cmd and --filter-file are mutually exclusive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, code, message", [
         (["--filter-cmd", "   "], 2, "--filter-cmd '   ' names no program"),
@@ -556,7 +564,7 @@ class TestFilterStream:
     def test_request_line_is_the_json_dumps_line(self, chunks, question, answer):
         from ambiuq.corpus import Chunk
 
-        chunks = [Chunk("d", chunk_id, text, frozenset()) for chunk_id, text in chunks]
+        chunks = [Chunk(chunk_id, text, frozenset()) for chunk_id, text in chunks]
         assert list(cli._request_lines(chunks, question, answer)) == [
             (json.dumps({"chunk_id": c.chunk_id, "text": c.text, "question": question,
                          "answer": answer}, sort_keys=True) + "\n").encode() for c in chunks]
@@ -571,7 +579,7 @@ class TestFilterStream:
             nonlocal taken
             for i in range(24):
                 taken += 1
-                yield [Chunk("d", f"d:{i}.{j}", "x", frozenset()) for j in range(i % 3)], "q?", "a"
+                yield [Chunk(f"d:{i}.{j}", "x", frozenset()) for j in range(i % 3)], "q?", "a"
 
         child = tmp_path / "yes.py"
         child.write_text("import sys\nfor line in sys.stdin:\n    print('yes', flush=True)\n")
@@ -591,7 +599,7 @@ class TestFilterStream:
         decisions = tmp_path / "decisions.jsonl"
         write_jsonl(decisions, [{"question": "q?", "answer": "b", "chunk_id": "d:1",
                                  "accept": False}])
-        a, b = (Chunk("d", f"d:{i}", "x", frozenset()) for i in range(2))
+        a, b = (Chunk(f"d:{i}", "x", frozenset()) for i in range(2))
         batches = [([a, b], "q?", "a"), ([], "q?", "b"), ([a, b], "q?", "b"), ([b], "q?", "b")]
         assert list(FileFilter(str(decisions))(iter(batches))) == [
             [True, True], [], [True, False], [False]]
@@ -603,7 +611,7 @@ class TestFilterStream:
                 seen.append((question, answer, len(chunks)))
                 yield [False] + [True] * (len(chunks) - 1)
 
-        index = build_index(Chunk("d", f"d:{i}", "x", frozenset(terms)) for i, terms in
+        index = build_index(Chunk(f"d:{i}", "x", frozenset(terms)) for i, terms in
                             enumerate([{"k", "a"}, {"k", "a", "b"}, {"k", "b"}, {"k", "a"}]))
         specs = [QuestionSpec("s1", "one?", ("k",), ("a", "b")),
                  QuestionSpec("s0", "zero?", ("k",), ("b", "a"))]
@@ -1060,20 +1068,10 @@ class TestEval:
         code, records_path, metrics_path = self.run_eval(tmp_path, gt, preds)
         assert code == 0
         records = read_jsonl(records_path)
-        credit, comparable = 0.0, 0
-        for i in range(len(records)):
-            for j in range(i + 1, len(records)):
-                ti, tj = records[i]["true_eu"], records[j]["true_eu"]
-                si, sj = records[i]["scores"]["SE"], records[j]["scores"]["SE"]
-                if ti == tj:
-                    continue
-                comparable += 1
-                if (ti - tj) * (si - sj) > 0:
-                    credit += 1.0
-                elif si == sj:
-                    credit += 0.5
+        expected = brute_concordance([r["true_eu"] for r in records],
+                                     [r["scores"]["SE"] for r in records])
         (row,) = [r for r in read_csv(metrics_path) if r["estimator"] == "SE"]
-        assert float(row["concordance"]) == pytest.approx(credit / comparable, abs=1e-6)
+        assert float(row["concordance"]) == pytest.approx(expected, abs=1e-6)
 
     def test_no_shared_ids_is_validation_error(self, tmp_path, fixture_predictions):
         gt = tmp_path / "gt.jsonl"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus_reference import brute_force_count
+
 from ambiuq.corpus import (
     CHUNK_CHAR_LIMIT,
     Chunk,
@@ -24,15 +26,6 @@ from ambiuq.errors import DegenerateInputError, ValidationError
 
 def make_chunks(texts):
     return list(chunk_corpus([("doc", texts)]))
-
-
-def brute_force_count(chunks, keywords, answer):
-    """Linear scan over all chunks; the independent counting oracle."""
-    required = set()
-    for keyword in keywords:
-        required |= stem_terms(keyword)
-    required |= stem_terms(answer)
-    return sum(1 for c in chunks if required <= c.stemmed_terms)
 
 
 def words(rng, vocab, n):

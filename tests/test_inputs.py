@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import signal
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -191,6 +192,9 @@ PARSERS = {
         ("pred", "ensemble", [PRED["ensemble"][0], {"classes": ["heat"], "probs": [-1.0]}],
          "prediction q: ensemble[1]: probabilities must be non-negative"),
         ("pred", "best_answer_prob", 1.5, "q: best_answer_prob must be in (0, 1]"),
+        ("pred", "ensemble", [], "prediction q: ensemble must be a non-empty list"),
+        ("pred", "ensemble", PRED["ensemble"][0],
+         "prediction q: ensemble must be a non-empty list"),
     ],
 )
 def test_json_types_at_the_boundary(tmp_path, kind, field, value, message):
@@ -365,6 +369,18 @@ class TestCap:
         assert code == 2
         assert f"cap must be >= 1, got {cap}" in err
         assert not out.exists()
+        # checked before any input is read or the filter command starts
+        code, err = run(["build-gt", "--corpus", tmp_path / "missing.jsonl", "--specs",
+                         fixture_specs, "--out", out, "--cap", cap])
+        assert code == 2
+        assert f"--cap must be >= 1, got {cap}" in err
+        marker, child = tmp_path / "started", tmp_path / "child.py"
+        child.write_text("import sys\nopen(sys.argv[1], 'w').close()\n")
+        code, err = run(["build-gt", "--corpus", fixture_corpus, "--specs", fixture_specs,
+                         "--out", out, "--cap", cap, "--filter-cmd",
+                         f"{sys.executable} {child} {marker}"])
+        assert code == 2
+        assert not marker.exists() and not out.exists()
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_library_rejects_cap_below_one(self, cap):

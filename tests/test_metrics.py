@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from metrics_reference import brute_aucroc, brute_concordance
+
 from ambiuq.errors import DegenerateInputError, ValidationError
 from ambiuq.metrics import EvalRecord, aucroc, concordance, score_columns, summarize
 
@@ -23,24 +25,6 @@ def records_from(true_eus, scores, name="SE"):
 def se_column(true_eus, scores):
     """(truth, score) arrays of "SE" records, through score_columns."""
     return score_columns(records_from(true_eus, scores))["SE"]
-
-
-def brute_concordance(true_eus, scores):
-    """Pure-Python pair enumeration; the independent oracle."""
-    credit = 0.0
-    comparable = 0
-    n = len(true_eus)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if true_eus[i] == true_eus[j]:
-                continue
-            comparable += 1
-            direction = (true_eus[i] - true_eus[j]) * (scores[i] - scores[j])
-            if direction > 0:
-                credit += 1.0
-            elif scores[i] == scores[j]:
-                credit += 0.5
-    return credit / comparable
 
 
 def merge_sort_inversions(seq):
@@ -76,20 +60,6 @@ def merge_sort_concordance(true_eus, scores):
     score_tied = tied(scores) - tied(rows)
     concordant = comparable - discordant - score_tied
     return (concordant + 0.5 * score_tied) / comparable
-
-
-def brute_aucroc(true_eus, scores, delta):
-    """Pure-Python positive/negative pair counting; the independent oracle."""
-    pos = [s for t, s in zip(true_eus, scores) if t >= delta]
-    neg = [s for t, s in zip(true_eus, scores) if t < delta]
-    credit = 0.0
-    for sp in pos:
-        for sn in neg:
-            if sp > sn:
-                credit += 1.0
-            elif sp == sn:
-                credit += 0.5
-    return credit / (len(pos) * len(neg))
 
 
 class TestEvalRecord:

@@ -26,8 +26,6 @@ from ambiuq.simlab import (
     MAX_CELLS,
     QuestionIds,
     run_experiment,
-    sample_model,
-    sample_truth,
 )
 
 LN2 = math.log(2.0)
@@ -100,8 +98,8 @@ class TestSampleTruth:
         cfg = SimConfig(k=3, n=1, seed=0, regime=ZERO_AU)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            p = sample_truth(cfg, rng)
-            assert sorted(p.probs.tolist()) == [0.0, 0.0, 1.0]
+            p = _sample_truths(cfg, rng, 1)[0]
+            assert sorted(p.tolist()) == [0.0, 0.0, 1.0]
 
     def test_free_au_mean_is_uniform(self):
         cfg = SimConfig(k=4, n=1, seed=0, regime=FREE_AU)
@@ -123,20 +121,14 @@ class TestSampleTruth:
 
 
 class TestSampleModel:
-    @pytest.mark.parametrize("noise", [math.nan, math.inf])
-    def test_non_finite_noise_rejected(self, noise):
-        p_star = sample_truth(SimConfig(k=3, n=1, seed=0))
-        with pytest.raises(ValidationError):
-            sample_model(p_star, noise=noise)
-
     def test_zero_au_reduction(self):
         cfg = SimConfig(k=2, n=1, seed=0, regime=ZERO_AU, deltas=(0.25, 0.5))
-        p_star = sample_truth(cfg)
+        p_star = _sample_truths(cfg, np.random.default_rng(cfg.seed), 1)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            p = sample_model(p_star, noise=3.0, rng=rng)
-            y = int(np.argmax(p_star.probs))
-            assert row_kl(p_star.probs, p.probs) == -math.log(p.probs[y])
+            p = _sample_models(p_star, 3.0, rng)[0]
+            y = int(np.argmax(p_star[0]))
+            assert row_kl(p_star[0], p) == -math.log(p[y])
 
     def test_more_noise_means_less_epistemic_uncertainty(self):
         rng = np.random.default_rng(5)
