@@ -151,8 +151,8 @@ class CommandFilter:
 
     def __call__(self, batches):
         """One decision list per (chunks, question, answer) batch, in order.
-        Batch i+1 is taken once batch i is written and the only one unanswered,
-        so the command answers one batch while it receives the next."""
+        The next batch is taken as soon as every request taken is written, and
+        a batch's decisions are yielded only once all its requests are written."""
         import select
 
         batches = iter(batches)
@@ -160,7 +160,7 @@ class CommandFilter:
         owed, replies, pending = [], [], b""  # owed: replies per batch
         deadline = time.monotonic() + FILTER_TIMEOUT_S
         while True:
-            if not pending and len(owed) < 2:  # every request taken is written
+            if not pending:  # every request taken is written
                 batch = next(batches, None)
                 if batch is not None:
                     owed.append(len(batch[0]))
@@ -168,10 +168,10 @@ class CommandFilter:
                     continue
                 if not owed:
                     return
-            # owed is non-empty: pending bytes are an owed batch's, and with none owed we returned
+            # owed is non-empty: pending bytes are owed[-1]'s, and with none owed we returned
             if self._take_replies(replies, owed[0]):
                 deadline = time.monotonic() + FILTER_TIMEOUT_S
-            if len(replies) == owed[0] and (len(owed) == 2 or not pending):  # and written
+            if len(replies) == owed[0] and (len(owed) > 1 or not pending):  # and written
                 owed.pop(0)
                 yield replies
                 replies, deadline = [], time.monotonic() + FILTER_TIMEOUT_S

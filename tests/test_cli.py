@@ -569,28 +569,75 @@ class TestFilterStream:
             (json.dumps({"chunk_id": c.chunk_id, "text": c.text, "question": question,
                          "answer": answer}, sort_keys=True) + "\n").encode() for c in chunks]
 
-    def test_command_filter_takes_at_most_one_batch_ahead(self, tmp_path):
+    def test_command_filter_takes_batches_until_the_pipe_is_full(self, tmp_path, monkeypatch):
+        import fcntl
+
         from ambiuq.cli import CommandFilter
         from ambiuq.corpus import Chunk
 
         taken = 0
 
-        def batches():
+        def batches(n, chunks_of, text):
             nonlocal taken
-            for i in range(24):
+            taken = 0
+            for i in range(n):
                 taken += 1
-                yield [Chunk(f"d:{i}.{j}", "x", frozenset()) for j in range(i % 3)], "q?", "a"
+                yield [Chunk(f"d:{i:04}.{j}", text, frozenset()) for j in range(chunks_of(i))], \
+                    "q?", "a"
 
         child = tmp_path / "yes.py"
         child.write_text("import sys\nfor line in sys.stdin:\n    print('yes', flush=True)\n")
         accept = CommandFilter(f"{sys.executable} {child}")
         try:
-            seen = [(taken, decisions) for decisions in accept(batches())]
+            seen = list(accept(batches(24, lambda i: i % 3, "x")))
         finally:
             assert accept.close() == b""
-        assert [decisions for _, decisions in seen] == [[True] * (i % 3) for i in range(24)]
-        # batch i's decisions arrive before batch i + 2 is taken, whatever the timing
-        assert all(n <= i + 2 for i, (n, _) in enumerate(seen))
+        assert seen == [[True] * (i % 3) for i in range(24)]
+
+        # a command that never reads: only whole batches the pipe took, plus one, are taken
+        monkeypatch.setattr(cli, "FILTER_TIMEOUT_S", 0.5)
+        text = "x" * 1000
+        request_bytes, = map(len, cli._request_lines([Chunk("d:0000.0", text, frozenset())],
+                                                     "q?", "a"))
+        mute = CommandFilter(f"{sys.executable} -c 'import time; time.sleep(60)'")
+        try:
+            capacity = fcntl.fcntl(mute.proc.stdin.fileno(), fcntl.F_GETPIPE_SZ)
+            bound = capacity // request_bytes + 1
+            with pytest.raises(OSError, match="sent no reply"):
+                list(mute(batches(bound + 8, lambda i: 1, text)))
+        finally:
+            mute.close()
+        assert 2 < taken <= bound
+
+    def test_command_filter_yields_a_batch_only_once_it_is_written(self, tmp_path):
+        from ambiuq.cli import CommandFilter
+        from ambiuq.corpus import Chunk
+
+        # 100 replies to the first line of a 200 KB batch, while most of it is still unwritten
+        log = tmp_path / "requests.log"
+        child = tmp_path / "early.py"
+        child.write_text(
+            "import sys, time\n"
+            f"log = open({str(log)!r}, 'w')\n"
+            "for n, line in enumerate(sys.stdin):\n"
+            "    log.write(line)\n"
+            "    if n == 0:\n"
+            "        sys.stdout.write('yes\\n' * 100)\n"
+            "        sys.stdout.flush()\n"
+            "        time.sleep(0.3)\n"
+            "    else:\n"
+            "        print('yes', flush=True)\n")
+        batches = [([Chunk(f"d:{j}", "x" * 2000, frozenset()) for j in range(100)], "q?", "a"),
+                   ([Chunk("d:100", "x", frozenset())], "q?", "a")]
+        accept = CommandFilter(f"{sys.executable} {child}")
+        try:
+            seen = list(accept(iter(batches)))
+        finally:
+            surplus = accept.close()
+        assert seen == [[True] * 100, [True]]
+        assert [json.loads(line)["chunk_id"] for line in log.read_text().splitlines()] == [
+            f"d:{j}" for j in range(101)]
+        assert surplus == b"yes\n" * 99
 
     def test_file_filter_and_a_plain_callable_answer_each_batch_in_order(self, tmp_path):
         from ambiuq.cli import FileFilter

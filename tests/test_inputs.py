@@ -195,6 +195,8 @@ PARSERS = {
         ("pred", "ensemble", [], "prediction q: ensemble must be a non-empty list"),
         ("pred", "ensemble", PRED["ensemble"][0],
          "prediction q: ensemble must be a non-empty list"),
+        ("pred", "samples", [PRED["samples"][0], "heat"], "prediction q: samples must be objects"),
+        ("pred", "samples", [], "prediction q: samples must be a non-empty list"),
     ],
 )
 def test_json_types_at_the_boundary(tmp_path, kind, field, value, message):
