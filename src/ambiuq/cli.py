@@ -455,8 +455,8 @@ def cmd_simulate(args) -> int:
             raise DegenerateInputError("--ablation-csv needs counts_total > 0")
     result = simlab.run_experiment(config)
     if args.ablation_csv:
-        counts = result.counts.astype(float)  # like eval's; past 2**53 int row sums differ
-        truths = simlab.ablation_truths([(slice(None), counts, result.p_model)], config.n, gammas)
+        group = (slice(None), result.counts, result.p_model)
+        truths = simlab.ablation_truths([group], config.n, gammas)
         ablation = simlab.gamma_ablation(truths, result.scores)
 
     question_ids = result.question_ids

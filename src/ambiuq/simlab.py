@@ -38,8 +38,9 @@ REGIMES = (ZERO_AU, FREE_AU, HIGH_AU)
 
 REJECTION_CAP = 1_000_000
 # array cells one population may draw: 40x the bench's and 8x the largest
-# test's; time and memory grow linearly up to it (README, "Size limits")
+# test's; time and the draws grow linearly up to it (README, "Size limits")
 MAX_CELLS = 50_000_000
+BLOCK_CELLS = 2**15  # per row block of the scoring kernels, whose scratch it bounds
 CONCENTRATION_FLOOR = 0.1  # keeps Dirichlet parameters positive at vertices
 HIGH_AU_GAP = 0.1
 BOUND_SLACK = 1e-9
@@ -128,6 +129,12 @@ def _sample_models(p_star: np.ndarray, noise: float, rng: np.random.Generator) -
     return gammas
 
 
+def _row_blocks(n: int, k: int) -> list:
+    """Slices over n rows of k cells, BLOCK_CELLS // k rows (at least one) each."""
+    step = max(1, BLOCK_CELLS // k)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 class QuestionIds(Sequence):
     """The row ids q000000, q000001, ... of n rows, formatted when read, so a
     writer that takes a block of rows at a time holds no n-long list."""
@@ -210,26 +217,27 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
 
     Returns the true EU and estimator scores of each draw as arrays, plus a report with
     per-threshold verification results and concordances. With ensemble_size >= 2 the
-    prediction is the mean of that many independent model draws, which are freed once MI
-    is computed, and the MI estimator is scored against EU = KL(p*||p_mean).
+    prediction is the mean of that many independent model draws, and the MI estimator is
+    scored against EU = KL(p*||p_mean). The scores are taken one row block at a time.
     """
     rng = np.random.default_rng(config.seed)
-    p_star = _sample_truths(config, rng, config.n)
-    m = config.ensemble_size
-    if m >= 2:
-        p_model, mi = ensemble_mean_mi([_sample_models(p_star, config.noise, rng) for _ in range(m)])
-    else:
-        p_model = _sample_models(p_star, config.noise, rng)
-        mi = None
-
+    n, m = config.n, config.ensemble_size
+    p_star = _sample_truths(config, rng, n)
+    members = [_sample_models(p_star, config.noise, rng) for _ in range(m)]
+    eu, au, tu, se = (np.empty(n) for _ in range(4))
+    mi = np.empty(n) if m >= 2 else None
+    for rows in _row_blocks(n, config.k):
+        if mi is not None:
+            # the block's mean replaces member 0's rows only once its MI is taken
+            members[0][rows], mi[rows] = ensemble_mean_mi([x[rows] for x in members])
+        truth, p = p_star[rows], members[0][rows]
+        eu[rows], au[rows] = row_kl(truth, p), row_entropy(truth)
+        tu[rows], se[rows] = row_cross_entropy(truth, p), row_entropy(p)
+    p_model = members[0]
+    del members  # members 1..m-1 go before the report is scored
     # KL >= 0 mathematically; clamp away float rounding at the zero boundary
-    eu = np.maximum(row_kl(p_star, p_model), 0.0)
-    au = row_entropy(p_star)
-    tu = row_cross_entropy(p_star, p_model)
-    se = row_entropy(p_model)
-    scores = {"SE": se}
-    if mi is not None:
-        scores["MI"] = mi
+    np.maximum(eu, 0.0, out=eu)
+    scores = {"SE": se} if mi is None else {"SE": se, "MI": mi}
 
     counts = None
     if config.counts_total > 0:
@@ -270,17 +278,21 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
 
 def ablation_truths(groups, n: int, gammas):
     """[(label, truth)] of n rows: the Dirichlet expected EU per gamma, then "point",
-    KL(normalize(counts)||p), one batched call per (gamma, group). Each group is (row
-    indices, counts (g, k), p_model (g, k)) of one support size k, not zero padded: a
-    padded class would still get alpha = 1 and change E[KL]."""
+    KL(normalize(counts)||p) of float counts, one batched call per (gamma, group, row
+    block). Each group is (row indices, counts (g, k), p_model (g, k)) of one support
+    size k, not zero padded: a padded class would still get alpha = 1 and change E[KL]."""
     out = []
     for label in [*gammas, "point"]:
         truth = np.empty(n)
         for idx, c, p in groups:
-            if label == "point":
-                truth[idx] = row_kl(c / c.sum(axis=-1, keepdims=True), p)
-            else:
-                truth[idx] = expected_epistemic(posterior(c, label), p)
+            part = np.empty(len(c))
+            for rows in _row_blocks(*c.shape):
+                block = np.asarray(c[rows], dtype=float)
+                if label == "point":
+                    part[rows] = row_kl(block / block.sum(axis=-1, keepdims=True), p[rows])
+                else:
+                    part[rows] = expected_epistemic(posterior(block, label), p[rows])
+            truth[idx] = part
         # KL >= 0 mathematically; clamp away float rounding at the zero boundary
         out.append((label, np.maximum(truth, 0.0)))
     return out

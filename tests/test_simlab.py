@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from ambiuq.corpus import GroundTruthRecord
 from ambiuq.dirichlet import expected_epistemic, posterior
-from ambiuq.dist import normalize, row_entropy, row_kl
+from ambiuq.dist import normalize, row_cross_entropy, row_entropy, row_kl
 from ambiuq.errors import ConfigurationError, ValidationError
 from ambiuq.estimators import (AnswerSample, AnswerSampleSet, EquivalenceMap, align, cluster,
-                               score_questions)
+                               ensemble_mean_mi, score_questions)
 from ambiuq.formats import parse_sim_config
 from ambiuq.metrics import EvalRecord, concordance, score_columns
 from ambiuq.simlab import (
+    BLOCK_CELLS,
     FREE_AU,
     HIGH_AU,
     ZERO_AU,
@@ -29,6 +30,36 @@ from ambiuq.simlab import (
 )
 
 LN2 = math.log(2.0)
+
+
+def unblocked(cfg):
+    """run_experiment's arrays and report means from the same draws, each kernel called
+    once on whole arrays and MI on the stacked (n, m, k) members: the object API's floats."""
+    rng = np.random.default_rng(cfg.seed)
+    p_star = _sample_truths(cfg, rng, cfg.n)
+    m = cfg.ensemble_size
+    stacked = np.stack([_sample_models(p_star, cfg.noise, rng) for _ in range(m)], axis=1)
+    p_model = sum((stacked[:, j] for j in range(1, m)), stacked[:, 0]) / m
+    eu = np.maximum(row_kl(p_star, p_model), 0.0)
+    return {
+        "p_model": p_model,
+        "MI": row_kl(stacked, p_model[..., None, :]).mean(axis=-1),
+        "true_eu": eu,
+        "SE": row_entropy(p_model),
+        "means": [row_entropy(p_star).mean(), eu.mean(),
+                  row_cross_entropy(p_star, p_model).mean()],
+    }
+
+
+def assert_matches_unblocked(cfg):
+    res, ref = run_experiment(cfg), unblocked(cfg)
+    assert res.p_model.tobytes() == ref["p_model"].tobytes()
+    assert res.true_eu.tobytes() == ref["true_eu"].tobytes()
+    assert res.scores["SE"].tobytes() == ref["SE"].tobytes()
+    if cfg.ensemble_size >= 2:
+        assert res.scores["MI"].tobytes() == ref["MI"].tobytes()
+    means = [res.report[f"mean_{part}"] for part in ("aleatoric", "epistemic", "total")]
+    assert means == ref["means"]
 
 
 class TestConfig:
@@ -235,21 +266,48 @@ class TestRunExperiment:
            seed=st.integers(0, 2**32 - 1), noise=st.floats(0.05, 100.0),
            regime=st.sampled_from([ZERO_AU, FREE_AU]))
     def test_ensemble_mi_equals_batched_formula(self, m, n, k, seed, noise, regime):
-        cfg = SimConfig(k=k, n=n, seed=seed, regime=regime, noise=noise, deltas=(0.25,),
-                        ensemble_size=m)
-        res = run_experiment(cfg)
-        # the same draws, stacked into one (n, m, k) array: the object API's floats
+        assert_matches_unblocked(SimConfig(k=k, n=n, seed=seed, regime=regime, noise=noise,
+                                           deltas=(0.25,), ensemble_size=m))
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("k, regime", [(7, FREE_AU), (1000, ZERO_AU)])
+    def test_block_boundaries_match_unblocked_formula(self, blocks, offset, m, k, regime):
+        # n one row short of, at and past 1, 2 and 3 whole row blocks
+        n = blocks * (BLOCK_CELLS // k) + offset
+        assert_matches_unblocked(SimConfig(k=k, n=n, seed=n, regime=regime, deltas=(0.25,),
+                                           ensemble_size=m))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 50), k=st.integers(2, 8), m=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), gamma=st.floats(1.0, 1e6),
+           cuts=st.lists(st.integers(0, 50), max_size=4))
+    def test_row_kernels_are_partition_invariant(self, n, k, m, seed, gamma, cuts):
+        # every row of every kernel depends on that row alone, so the kernels
+        # may be run one row block at a time
         rng = np.random.default_rng(seed)
-        p_star = _sample_truths(cfg, rng, n)
-        stacked = np.stack([_sample_models(p_star, noise, rng) for _ in range(m)], axis=1)
-        p_model = sum((stacked[:, j] for j in range(1, m)), stacked[:, 0]) / m
-        mi = row_kl(stacked, p_model[..., None, :]).mean(axis=-1)
-        assert res.p_model.tobytes() == p_model.tobytes()
-        assert res.scores["MI"].tobytes() == mi.tobytes()
+        p_star = rng.dirichlet(np.ones(k), size=n) * (rng.random((n, k)) < 0.7)
+        p = rng.dirichlet(np.ones(k), size=n) * (rng.random((n, k)) < 0.9)
+        members = [rng.dirichlet(np.full(k, 0.5), size=n) for _ in range(m)]
+        counts = rng.integers(0, 20, size=(n, k)).astype(float)
+        q = rng.dirichlet(np.full(k, 2.0), size=n)
+        kernels = {
+            "row_kl": (row_kl, p_star, p),
+            "row_entropy": (row_entropy, p),
+            "row_cross_entropy": (row_cross_entropy, p_star, p),
+            "p_bar": (lambda *ms: ensemble_mean_mi(ms)[0], *members),
+            "MI": (lambda *ms: ensemble_mean_mi(ms)[1], *members),
+            "E[KL]": (lambda c, pred: expected_epistemic(posterior(c, gamma), pred), counts, q),
+        }
+        bounds = sorted({0, n, *(c % (n + 1) for c in cuts)})
+        for name, (kernel, *arrays) in kernels.items():
+            parts = [kernel(*(a[i:j] for a in arrays)) for i, j in zip(bounds, bounds[1:])]
+            assert np.concatenate(parts).tobytes() == kernel(*arrays).tobytes(), name
 
     def test_peak_memory_is_bounded_by_the_members(self):
-        # members, truth, mean and the KL scratch: the peak stays below
-        # m + 5 full (n, k) float arrays
+        # the truths and the members, and while the last member is drawn its
+        # concentrations; the scores take row blocks: below m + 3 (n, k) arrays
         cfg = SimConfig(k=10, n=20_000, seed=0, regime=ZERO_AU, ensemble_size=5)
         run_experiment(SimConfig(k=10, n=20, regime=ZERO_AU, ensemble_size=5))  # lazy imports
         tracemalloc.start()
@@ -258,7 +316,7 @@ class TestRunExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (cfg.ensemble_size + 5) * cfg.n * cfg.k * 8
+        assert peak < (cfg.ensemble_size + 3) * cfg.n * cfg.k * 8
 
     def test_high_au_population_has_high_aleatoric(self):
         res = run_experiment(SimConfig(k=3, n=2_000, seed=6, regime=HIGH_AU, noise=5.0))
@@ -280,7 +338,7 @@ class TestRunExperiment:
 
 def result_ablation(result, gammas):
     """The gamma ablation of a simulated population, as simulate --ablation-csv builds it."""
-    group = (slice(None), result.counts.astype(float), result.p_model)
+    group = (slice(None), result.counts, result.p_model)
     return gamma_ablation(ablation_truths([group], result.config.n, gammas), result.scores)
 
 
@@ -304,6 +362,31 @@ class TestGammaAblation:
         point = next(r["concordance"] for r in rows if r["gamma"] == "point")
         gaps = [abs(v - point) for v in values]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+    def test_integer_counts_are_normalized_as_floats(self):
+        # simulate passes its int64 counts, eval floats; past 2**53 the exact
+        # integer row sums would give other point truths
+        cfg = SimConfig(k=10, n=7_000, seed=3, regime=FREE_AU, counts_total=2**60 + 7)
+        res = run_experiment(cfg)
+        as_int, as_float = (ablation_truths([(slice(None), c, res.p_model)], cfg.n, (1.0,))
+                            for c in (res.counts, res.counts.astype(float)))
+        assert [t.tobytes() for _, t in as_int] == [t.tobytes() for _, t in as_float]
+
+    def test_peak_memory_of_one_group_is_bounded_by_its_blocks(self):
+        # besides the n-long truths, the scratch is a fixed number of row
+        # blocks however large the group is
+        gammas, n, k = (1.0, 2.0, 5.0, 10.0, 100.0), 40_000, 10
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 50, size=(n, k)).astype(float)
+        p = rng.dirichlet(np.ones(k), size=n)
+        ablation_truths([(slice(None), counts[:5], p[:5])], 5, gammas)  # lazy imports
+        tracemalloc.start()
+        try:
+            ablation_truths([(slice(None), counts, p)], n, gammas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - (len(gammas) + 3) * n * 8 < 16 * BLOCK_CELLS * 8
 
     def test_ragged_supports_match_per_record_reference(self):
         # eval's support groups (k = 2..8) give each row the truth of its own
