@@ -41,6 +41,14 @@ class Chunk:
     stemmed_terms: frozenset
 
 
+def _check_terms(terms, name: str) -> None:
+    """Reject an empty ``terms``, or one string that would be split into letters."""
+    if isinstance(terms, str):
+        raise ValidationError(f"{name} must be a sequence of strings, got the string {terms!r}")
+    if not terms:
+        raise ValidationError(f"{name} must be non-empty")
+
+
 @dataclass(frozen=True)
 class QuestionSpec:
     question_id: str
@@ -49,10 +57,8 @@ class QuestionSpec:
     answers: tuple
 
     def __post_init__(self):
-        if not self.keywords:
-            raise ValidationError(f"{self.question_id}: keywords must be non-empty")
-        if not self.answers:
-            raise ValidationError(f"{self.question_id}: answers must be non-empty")
+        for field in ("keywords", "answers"):
+            _check_terms(getattr(self, field), f"{self.question_id}: {field}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +190,9 @@ def cooccurrence_count(
     Matches are truncated at ``cap`` (>= 1) in corpus order before the optional
     entailment filter is applied to them as one batch; zero is a valid count.
     """
-    if not answer or not keywords:
-        raise ValidationError("keywords and answer must be non-empty")
+    if not answer:
+        raise ValidationError("answer must be non-empty")
+    _check_terms(keywords, "keywords")
     spec = QuestionSpec("", question, tuple(keywords), (answer,))
     return build_ground_truth(index, [spec], cap, accept)[0].counts[0]
 

@@ -37,15 +37,21 @@ class EquivalenceMap:
     with exact matching. An explicit mapping (for example pre-computed by an
     external entailment tool) can be layered on top. Chains are resolved to
     their end, and a chain that runs into a cycle to the cycle's least member,
-    so canonical() is idempotent whatever the mapping's order.
+    so canonical() is idempotent whatever the mapping's order. Two keys that
+    normalize alike must map to targets that normalize alike.
     """
 
     def __init__(self, mapping: Optional[dict] = None):
-        self._mapping = {}
+        first = {}  # normalized key -> (the first key that gave it, normalized target)
         for key, value in (mapping or {}).items():
             if not (isinstance(key, str) and isinstance(value, str)):
                 raise ValidationError(f"equivalence mapping needs strings, got {key!r}: {value!r}")
-            self._mapping[_normalize_text(key)] = _normalize_text(value)
+            name, target = _normalize_text(key), _normalize_text(value)
+            earlier, earlier_target = first.setdefault(name, (key, target))
+            if earlier_target != target:
+                raise ValidationError(f"equivalence keys {earlier!r} and {key!r} both read as "
+                                      f"{name!r} but map to {earlier_target!r} and {target!r}")
+        self._mapping = {key: target for key, (_, target) in first.items()}
 
     def canonical(self, s: str) -> str:
         out = _normalize_text(s)

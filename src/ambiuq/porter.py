@@ -12,55 +12,33 @@ import functools
 import re
 
 _VOWELS = "aeiou"
-_VOWEL_CONS = re.compile("[aeiou][^aeiou]").findall  # the VC pairs of a stem with no y
+_Y_AFTER_CONS = re.compile("([^aeiou])y").sub
+_VOWEL = re.compile("[aeiou]").search
+_VOWEL_CONS = re.compile("[aeiou][^aeiou]").findall
+_CVC = re.compile("[^aeiou][aeiou][^aeiouwxy]").fullmatch  # the last consonant is not w, x or y
 
 
-def _is_cons(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        return i == 0 or not _is_cons(word, i - 1)
-    return True
+def _resolve_y(word: str) -> str:
+    """``word`` with each vowel y, a y after a consonant, as a. Each match takes that
+    consonant too, so a y right after it reads as a consonant; most words skip the sub."""
+    return _Y_AFTER_CONS(lambda pair: pair[1] + "a", word) if "y" in word else word
 
 
 def _measure(stem: str) -> int:
     """Number of vowel-to-consonant transitions, the m of [C](VC)^m[V]."""
-    if "y" not in stem:  # only y is a vowel or a consonant by position
-        return len(_VOWEL_CONS(stem))
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_cons(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
+    return len(_VOWEL_CONS(_resolve_y(stem)))
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_cons(stem, i) for i in range(len(stem)))
+    return _VOWEL(_resolve_y(stem)) is not None
 
 
 def _ends_double_cons(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_cons(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _resolve_y(word)[-1] not in _VOWELS
 
 
 def _ends_cvc(word: str) -> bool:
-    if len(word) < 3:
-        return False
-    return (
-        _is_cons(word, len(word) - 3)
-        and not _is_cons(word, len(word) - 2)
-        and _is_cons(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return _CVC(_resolve_y(word)[-3:]) is not None
 
 
 class _Rules(dict):

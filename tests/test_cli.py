@@ -1053,6 +1053,17 @@ class TestEval:
         q1 = json.loads(outputs[1][0].splitlines()[0])
         assert q1["scores"]["SE"] == pytest.approx(-(0.8 * math.log(0.8) + 0.2 * math.log(0.2)))
 
+    def test_contradicting_equivalence_keys_rejected_before_reading(self, tmp_path, capsys):
+        eq = tmp_path / "eq.json"
+        eq.write_text(json.dumps({"NYC": "new york", "nyc.": "big apple"}))
+        missing = tmp_path / "missing.jsonl"
+        code, records, metrics = self.run_eval(tmp_path, missing, missing, "--equivalence",
+                                               str(eq))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "keys 'NYC' and 'nyc.' both read as 'nyc'" in err and "missing" not in err
+        assert not records.exists() and not metrics.exists()
+
     def test_rerun_byte_identical(
         self, tmp_path, fixture_corpus, fixture_specs, fixture_predictions
     ):

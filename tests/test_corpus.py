@@ -203,6 +203,15 @@ class TestCooccurrence:
         with pytest.raises(ValidationError):
             cooccurrence_count(index, ["x"], "")
 
+    def test_bare_string_keywords_rejected(self):
+        # tuple("fire") would require the terms f, i, r and e, which the last chunk has
+        index = build_index(make_chunks(["Fire needs heat and fuel.", "Heat of the fire.",
+                                         "f i r e heat"]))
+        assert cooccurrence_count(index, ["fire"], "heat") == 2
+        with pytest.raises(ValidationError,
+                           match="keywords must be a sequence of strings, got the string 'fire'"):
+            cooccurrence_count(index, "fire", "heat")
+
 
 def fixture_index():
     """Corpus with planted counts: fire triangle 31/32/25, frozen 188/91."""
@@ -249,6 +258,14 @@ class TestGroundTruth:
         assert record.discarded and record.p_star is None
         assert record.counts == (0,) and record.raw_matches == (0,)
         assert record.reason == "zero counts for answers: ['?']"
+
+    @pytest.mark.parametrize("keywords, answers, field", [
+        ("fire", ("heat",), "keywords"), (("fire",), "heat", "answers")])
+    def test_spec_rejects_a_bare_string(self, keywords, answers, field):
+        # a str is iterable, so it would pass as the terms of its letters
+        with pytest.raises(ValidationError,
+                           match=f"^q: {field} must be a sequence of strings, got the string"):
+            QuestionSpec("q", "", keywords, answers)
 
     def test_answers_requiring_the_same_terms_are_recorded(self):
         index = build_index(make_chunks(["new york city", "a new york day", "boston city"]))

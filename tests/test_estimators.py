@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,13 @@ class TestEquivalenceMap:
         for name in "xyz":
             assert eq.canonical(name) == "x"
             assert eq.canonical(eq.canonical(name)) == eq.canonical(name)
+
+    def test_keys_that_read_alike_must_map_alike(self):
+        message = "keys 'NYC' and 'nyc.' both read as 'nyc' but map to 'new york' and 'big apple'"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            EquivalenceMap({"NYC": "new york", "nyc.": "big apple"})
+        eq = EquivalenceMap({"NYC": "New York", "nyc.": "new york!"})
+        assert eq.canonical("nyc") == "new york"
 
     def test_chain_into_a_cycle_ends_at_its_least_member(self):
         eq = EquivalenceMap({"t": "Y", "y": "z", "z": "y", "u": "t"})

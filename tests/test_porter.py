@@ -1,3 +1,4 @@
+import itertools
 import random
 import string
 
@@ -9,6 +10,9 @@ import porter_reference as reference
 
 from ambiuq.porter import (
     _apply,
+    _ends_cvc,
+    _ends_double_cons,
+    _has_vowel,
     _measure,
     _STEP2,
     _STEP3,
@@ -195,6 +199,9 @@ def test_stem_matches_the_scanning_reference(word):
 PIECES = [*string.ascii_lowercase, *SUFFIXES, "y", "yy", "yyy", "ll", "e",
           *string.ascii_uppercase, "\n", "é", "ß", "ﬁ"]
 EDGE_WORDS = st.lists(st.sampled_from(PIECES), max_size=8).map("".join)
+HELPERS = ((_measure, reference._measure), (_has_vowel, reference._has_vowel),
+           (_ends_double_cons, reference._ends_double_cons),
+           (_ends_cvc, reference._ends_cvc))
 REFERENCE_STEPS = ((_STEP2, reference._STEP2, 0), (_STEP3, reference._STEP3, 0),
                    (_STEP4, reference._STEP4, 1))
 
@@ -209,7 +216,8 @@ def test_edge_inputs(word, expected):
 @given(word=EDGE_WORDS)
 def test_stem_and_each_step_match_the_reference(word):
     assert stem(word) == reference.stem(word)
-    assert _measure(word) == reference._measure(word)
+    for helper, expected_helper in HELPERS:
+        assert helper(word) == expected_helper(word)
     for step, expected_step in ((_step1a, reference._step1a), (_step1b, reference._step1b),
                                 (_step1c, reference._step1c), (_step5a, reference._step5a),
                                 (_step5b, reference._step5b)):
@@ -222,3 +230,13 @@ def test_stem_matches_the_reference_on_50000_seeded_words():
     rng = random.Random(22)
     words = ["".join(rng.choices(PIECES, k=rng.randint(1, 6))) for _ in range(50_000)]
     assert [w for w in words if stem(w) != reference.stem.__wrapped__(w)][:10] == []
+
+
+def test_helpers_and_stem_match_the_reference_on_every_short_word():
+    # whether a y is a vowel depends on every letter before it, so runs of y
+    # at each position, after a vowel, a consonant or w, must all be read alike
+    words = ["".join(letters) for n in range(1, 7)
+             for letters in itertools.product("aybsw", repeat=n)]
+    assert len(words) == 19_530
+    checks = [*HELPERS, (stem.__wrapped__, reference.stem.__wrapped__)]
+    assert [(f.__name__, w) for w in words for f, ref in checks if f(w) != ref(w)][:10] == []
